@@ -33,7 +33,6 @@
 #include "server/remote_backend.hpp"
 #include "server/round.hpp"
 #include "simulator/engine.hpp"
-#include "util/histogram.hpp"
 
 int main(int argc, char** argv) {
   using namespace eyw;
@@ -156,14 +155,11 @@ int main(int argc, char** argv) {
         "\nWeek %zu: reports=%zu/%zu  Act_Th=%.2f  CMS_Th=%.2f  "
         "TV-distance=%.4f\n",
         week + 1, round.reports, round.roster, act_th, cms_th,
-        util::total_variation(actual.histogram(),
-                              round.distribution.histogram()));
+        core::total_variation(actual, round.distribution));
     std::printf("#users   actual-pdf   cms-pdf\n");
-    for (std::uint64_t k = 1; k <= 10; ++k) {
-      std::printf("%6llu   %10.4f   %7.4f\n",
-                  static_cast<unsigned long long>(k),
-                  actual.histogram().pdf(k),
-                  round.distribution.histogram().pdf(k));
+    for (std::uint32_t k = 1; k <= 10; ++k) {
+      std::printf("%6u   %10.4f   %7.4f\n", k, actual.pdf(k),
+                  round.distribution.pdf(k));
     }
     for (auto& ext : extensions) ext.start_new_period();
   }

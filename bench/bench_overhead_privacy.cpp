@@ -611,7 +611,7 @@ int main(int argc, char** argv) {
     bool identical =
         loop_cells.size() == tcp_cells.size() &&
         round.users_threshold == tcp_round.users_threshold &&
-        round.distribution.counts() == tcp_round.distribution.counts();
+        round.distribution == tcp_round.distribution;
     for (std::size_t m = 0; identical && m < loop_cells.size(); ++m)
       identical = loop_cells[m] == tcp_cells[m];
     std::printf("  round result %s (Users_th %.2f vs %.2f)\n",

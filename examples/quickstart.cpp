@@ -374,22 +374,6 @@ int run_serve(std::uint16_t port, bool once, const std::string& journal_dir,
   return 0;
 }
 
-/// The deployment invariant both networked modes assert: every field of
-/// the two RoundResults agrees bit for bit (one shared check so neither
-/// mode's PASS can silently drift weaker than the other's).
-bool results_identical(const server::RoundResult& want,
-                       const server::RoundResult& got) {
-  const auto want_cells = want.aggregate.cells();
-  const auto got_cells = got.aggregate.cells();
-  bool identical = want_cells.size() == got_cells.size() &&
-                   want.users_threshold == got.users_threshold &&
-                   want.distribution.counts() == got.distribution.counts() &&
-                   want.reports == got.reports && want.roster == got.roster;
-  for (std::size_t i = 0; identical && i < want_cells.size(); ++i)
-    identical = want_cells[i] == got_cells[i];
-  return identical;
-}
-
 /// Deterministic synthetic report for reporter `i` (this mode measures
 /// the transport; the blinded-crypto round is --connect's job). Shared
 /// with the in-process reference so the swarm aggregate can be asserted
@@ -653,7 +637,7 @@ int run_reporters(std::size_t n, const std::string& target_host,
   for (std::size_t i = 0; i < n; ++i)
     reference.submit_report(i, reporter_cells(config, i));
   const server::RoundResult want = reference.finalize_round();
-  const bool identical = results_identical(want, result);
+  const bool identical = scenario::results_identical(want, result);
 
   const std::size_t client_threads = threads_during - threads_before;
   const std::size_t fd_delta =
@@ -863,7 +847,7 @@ int run_connect(const std::string& host, std::uint16_t port) {
       /*seed=*/17);
   const server::RoundResult got = live.run_full_round(0);
 
-  const bool identical = results_identical(want, got);
+  const bool identical = scenario::results_identical(want, got);
 
   const auto stats = round_ch->stats();
   std::printf("round over TCP (async client, pipelined submissions): "
@@ -984,7 +968,8 @@ int run_crash_demo(std::size_t n) {
   const bool clean_exit =
       WIFEXITED(second_status) && WEXITSTATUS(second_status) == 0;
 
-  const bool identical = got.has_value() && results_identical(want, *got);
+  const bool identical =
+      got.has_value() && scenario::results_identical(want, *got);
   std::printf("incarnation 2: recovered %zu missing (want %zu), duplicate "
               "of pre-crash report %s, round finalized: Users_th=%.3f "
               "(%u/%u reported)\n",

@@ -1,6 +1,30 @@
 #include "core/global_view.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+
 namespace eyw::core {
+
+namespace {
+
+/// Σ value·weight, exact.
+unsigned __int128 weighted_sum(const std::vector<UsersBin>& bins) noexcept {
+  unsigned __int128 sum = 0;
+  for (const UsersBin& b : bins)
+    sum += static_cast<unsigned __int128>(b.value) * b.weight;
+  return sum;
+}
+
+/// The value at 0-based position `rank` (< the weight sum) of the
+/// expanded, sorted sample.
+double value_at(const std::vector<UsersBin>& bins, std::uint64_t rank) {
+  auto it = bins.begin();
+  while (rank >= it->weight) rank -= (it++)->weight;
+  return it->value;
+}
+
+}  // namespace
 
 void GlobalUserCounter::record(UserId user, AdId ad) {
   seen_by_[ad].insert(user);
@@ -22,18 +46,87 @@ std::vector<double> GlobalUserCounter::distribution() const {
 
 UsersDistribution UsersDistribution::from_counts(
     std::span<const double> counts) {
-  UsersDistribution d;
-  d.counts_.reserve(counts.size());
-  for (double c : counts) {
-    if (c < 1.0) continue;
-    d.counts_.push_back(c);
-    d.hist_.add(static_cast<std::uint64_t>(c));
+  std::vector<std::uint32_t> values;
+  values.reserve(counts.size());
+  for (double c : counts)
+    if (c >= 1.0) values.push_back(static_cast<std::uint32_t>(c));
+  std::sort(values.begin(), values.end());
+  std::vector<UsersBin> bins;
+  for (std::size_t i = 0; i < values.size();) {
+    std::size_t j = i;
+    while (j < values.size() && values[j] == values[i]) ++j;
+    bins.push_back({.value = values[i], .weight = j - i});
+    i = j;
   }
+  return from_bins(std::move(bins));
+}
+
+UsersDistribution UsersDistribution::from_bins(std::vector<UsersBin> bins) {
+  UsersDistribution d;
+  std::uint32_t prev = 0;
+  for (const UsersBin& b : bins) {
+    if (b.value <= prev || b.weight == 0)
+      throw std::invalid_argument(
+          "UsersDistribution: bins must ascend strictly from value 1 and "
+          "carry weight >= 1");
+    if (d.size_ + b.weight < d.size_)
+      throw std::invalid_argument("UsersDistribution: weight sum overflows");
+    d.size_ += b.weight;
+    prev = b.value;
+  }
+  d.bins_ = std::move(bins);
   return d;
 }
 
+double UsersDistribution::pdf(std::uint32_t value) const noexcept {
+  const auto it = std::lower_bound(
+      bins_.begin(), bins_.end(), value,
+      [](const UsersBin& b, std::uint32_t v) { return b.value < v; });
+  if (it == bins_.end() || it->value != value) return 0.0;
+  return static_cast<double>(it->weight) / static_cast<double>(size_);
+}
+
+double total_variation(const UsersDistribution& a,
+                       const UsersDistribution& b) {
+  double acc = 0.0;
+  for (const UsersBin& x : a.histogram())
+    acc += std::abs(a.pdf(x.value) - b.pdf(x.value));
+  for (const UsersBin& y : b.histogram())
+    if (a.pdf(y.value) == 0.0) acc += b.pdf(y.value);
+  return acc / 2.0;
+}
+
 double UsersDistribution::threshold(ThresholdRule rule) const {
-  return estimate_threshold(counts_, rule);
+  if (size_ == 0) return 0.0;
+  const unsigned __int128 sum = weighted_sum(bins_);
+  const double n = static_cast<double>(size_);
+  const double mean = static_cast<double>(sum) / n;
+  const auto median = [&] {
+    const double hi = value_at(bins_, size_ / 2);
+    if (size_ % 2 == 1) return hi;
+    return (value_at(bins_, size_ / 2 - 1) + hi) / 2.0;
+  };
+  const auto stddev = [&] {
+    if (size_ < 2) return 0.0;
+    const long double m = static_cast<long double>(sum) / size_;
+    long double acc = 0.0L;
+    for (const UsersBin& b : bins_) {
+      const long double dev = b.value - m;
+      acc += dev * dev * static_cast<long double>(b.weight);
+    }
+    return static_cast<double>(std::sqrt(acc / (size_ - 1)));
+  };
+  switch (rule) {
+    case ThresholdRule::kMean:
+      return mean;
+    case ThresholdRule::kMedian:
+      return median();
+    case ThresholdRule::kMeanPlusMedian:
+      return mean + median();
+    case ThresholdRule::kMeanPlusStddev:
+      return mean + stddev();
+  }
+  return 0.0;
 }
 
 }  // namespace eyw::core

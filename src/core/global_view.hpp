@@ -5,17 +5,17 @@
 //   * exact — distinct-user counting from cleartext reports ("Actual" curves
 //     in Figure 2); GlobalUserCounter below.
 //   * estimated — queries against the unblinded aggregate count-min sketch
-//     ("CMS" curves in Figure 2); built by server::BackendServer.
+//     ("CMS" curves in Figure 2); built by server::finalize_from_cells.
 // Both paths feed a UsersDistribution, from which Users_th is derived.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
-#include "core/thresholds.hpp"
 #include "core/types.hpp"
-#include "util/histogram.hpp"
 
 namespace eyw::core {
 
@@ -42,30 +42,59 @@ class GlobalUserCounter {
   std::map<AdId, std::set<UserId>> seen_by_;
 };
 
-/// The #Users distribution over ads and its derived threshold.
+/// One histogram bin: `weight` ads (or ids) whose #Users is `value`.
+struct UsersBin {
+  std::uint32_t value = 0;
+  std::uint64_t weight = 0;
+
+  bool operator==(const UsersBin&) const = default;
+};
+
+/// The #Users distribution over ads, held as its histogram, and the
+/// threshold derived from it. Count-min estimates only ever take one of
+/// the sketch's d·w cell values, so the histogram of a scan over any id
+/// space has at most d·w bins.
 class UsersDistribution {
  public:
   UsersDistribution() = default;
 
-  /// Build from per-ad distinct-user counts (exact or CMS-estimated).
-  /// Zero counts are excluded: an ad nobody saw is not an ad.
+  /// Build from per-ad distinct-user counts (exact or CMS-estimated; whole
+  /// numbers below 2^32). Zero counts are excluded: an ad nobody saw is
+  /// not an ad.
   [[nodiscard]] static UsersDistribution from_counts(
       std::span<const double> counts);
 
-  /// Users_th under the given rule (paper default: mean).
+  /// Adopt a finished histogram. Throws std::invalid_argument unless the
+  /// values are strictly ascending and >= 1 and every weight is >= 1.
+  [[nodiscard]] static UsersDistribution from_bins(std::vector<UsersBin> bins);
+
+  /// Users_th under the given rule (paper default: mean). Mean and median
+  /// are exact over the integer histogram, so they equal the sequential
+  /// double mean / sorted median of the expanded sample whenever its sum
+  /// is below 2^53; the stddev term is accurate to a few ulp.
   [[nodiscard]] double threshold(ThresholdRule rule) const;
 
-  [[nodiscard]] const util::Histogram& histogram() const noexcept {
-    return hist_;
+  /// (value, weight) bins, ascending by value.
+  [[nodiscard]] const std::vector<UsersBin>& histogram() const noexcept {
+    return bins_;
   }
-  [[nodiscard]] const std::vector<double>& counts() const noexcept {
-    return counts_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return counts_.empty(); }
+  /// Share of the ads whose #Users is `value` (0 if there is none).
+  [[nodiscard]] double pdf(std::uint32_t value) const noexcept;
+  /// Number of ads in the distribution (the sum of the weights).
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+  bool operator==(const UsersDistribution&) const = default;
 
  private:
-  std::vector<double> counts_;
-  util::Histogram hist_;
+  std::vector<UsersBin> bins_;
+  std::uint64_t size_ = 0;
 };
+
+/// Total-variation distance between the PDFs of two distributions:
+/// 0 = identical, 1 = disjoint. Quantifies the error the privacy protocol
+/// introduces into the #Users distribution (Figure 2).
+[[nodiscard]] double total_variation(const UsersDistribution& a,
+                                     const UsersDistribution& b);
 
 }  // namespace eyw::core

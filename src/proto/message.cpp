@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace eyw::proto {
 
@@ -579,12 +581,17 @@ MissingList MissingList::decode(const Envelope& env) {
 }
 
 std::vector<std::uint8_t> RoundSummary::encode(std::uint64_t round) const {
-  WireWriter w(20 + counts.size() * 8 + sketch_frame.size());
+  WireWriter w(20 + distribution.histogram().size() * 12 +
+               sketch_frame.size());
   w.u64(std::bit_cast<std::uint64_t>(users_threshold));
   w.u32(reports);
   w.u32(roster);
-  w.u32(static_cast<std::uint32_t>(counts.size()));
-  for (const double c : counts) w.u64(std::bit_cast<std::uint64_t>(c));
+  const std::vector<core::UsersBin>& bins = distribution.histogram();
+  w.u32(static_cast<std::uint32_t>(bins.size()));
+  for (const core::UsersBin& b : bins) {
+    w.u32(b.value);
+    w.u64(b.weight);
+  }
   w.bytes(std::span<const std::uint8_t>(sketch_frame.data(),
                                         sketch_frame.size()));
   const auto payload = w.take();
@@ -600,15 +607,20 @@ RoundSummary RoundSummary::decode(const Envelope& env) {
   out.reports = r.u32();
   out.roster = r.u32();
   const std::uint32_t count = r.u32();
-  if (count > kMaxSummaryCounts)
+  if (count > sketch::kMaxFrameCells)
     throw ProtoError(ErrorCode::kOversized,
-                     "round-summary: distribution above cap");
-  if (static_cast<std::uint64_t>(count) * 8 > r.remaining())
+                     "round-summary: more bins than a sketch has cells");
+  if (static_cast<std::uint64_t>(count) * 12 > r.remaining())
     throw ProtoError(ErrorCode::kTruncated,
-                     "round-summary: declared distribution exceeds payload");
-  out.counts.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.counts.push_back(std::bit_cast<double>(r.u64()));
+                     "round-summary: declared histogram exceeds payload");
+  std::vector<core::UsersBin> bins(count);
+  for (core::UsersBin& bin : bins) bin = {.value = r.u32(), .weight = r.u64()};
+  try {
+    out.distribution = core::UsersDistribution::from_bins(std::move(bins));
+  } catch (const std::invalid_argument& e) {
+    throw ProtoError(ErrorCode::kMalformed,
+                     std::string("round-summary: ") + e.what());
+  }
   // The rest is the aggregate 'EYWS' frame; the sketch decoder validates it
   // (geometry, cell-count cap) when the summary is turned into a result.
   const auto frame = r.bytes(r.remaining());

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/global_view.hpp"
 #include "crypto/bignum.hpp"
 #include "proto/wire.hpp"
 #include "sketch/serialize.hpp"
@@ -351,22 +352,22 @@ struct MissingList {
 /// Back-end -> operator: everything finalize_round derives — reply to
 /// FinalizeRequest. The aggregate travels as a complete sketch-layer
 /// 'EYWS' plain-sketch frame (geometry + hash seed validated there), the
-/// #Users distribution as bit-cast f64 counts, so a RoundResult rebuilt
-/// from this message is bit-identical to the server's local one.
+/// #Users distribution as its histogram: at most d·w (value u32,
+/// weight u64) bins, because every count-min estimate is one of the d·w
+/// cells. A RoundResult rebuilt from this message is bit-identical to the
+/// server's local one. The decoder refuses more than kMaxFrameCells bins
+/// (kOversized) and any histogram UsersDistribution::from_bins refuses
+/// (kMalformed).
 struct RoundSummary {
   double users_threshold = 0.0;
   std::uint32_t reports = 0;
   std::uint32_t roster = 0;
-  std::vector<double> counts;              // #Users distribution (non-zero)
+  core::UsersDistribution distribution;
   std::vector<std::uint8_t> sketch_frame;  // encoded aggregate sketch
 
   [[nodiscard]] std::vector<std::uint8_t> encode(std::uint64_t round) const;
   [[nodiscard]] static RoundSummary decode(const Envelope& env);
 };
-
-/// Hard cap on RoundSummary distribution entries (one per ad id with a
-/// non-zero estimate; well above any configured id_space).
-inline constexpr std::size_t kMaxSummaryCounts = std::size_t{1} << 22;
 
 /// Oprf-server -> client: the published RSA key (reply to OprfKeyQuery) —
 /// how a remote client bootstraps an OprfUrlMapper without out-of-band key

@@ -189,7 +189,7 @@ bool results_identical(const server::RoundResult& want,
   const auto got_cells = got.aggregate.cells();
   bool identical = want_cells.size() == got_cells.size() &&
                    want.users_threshold == got.users_threshold &&
-                   want.distribution.counts() == got.distribution.counts() &&
+                   want.distribution == got.distribution &&
                    want.reports == got.reports && want.roster == got.roster;
   for (std::size_t i = 0; identical && i < want_cells.size(); ++i)
     identical = want_cells[i] == got_cells[i];

@@ -121,7 +121,7 @@ class ServerHarness {
 };
 
 /// Bit-for-bit round-result equality: aggregate cells, threshold,
-/// distribution counts, reports and roster must all match exactly — the
+/// #Users histogram, reports and roster must all match exactly — the
 /// acceptance bar every scenario holds finalize to.
 [[nodiscard]] bool results_identical(const server::RoundResult& want,
                                      const server::RoundResult& got);

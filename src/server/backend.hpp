@@ -152,21 +152,11 @@ class RoundBackend {
   }
 };
 
-/// Scan the (over-provisioned) id space of `aggregate` as batched row-major
-/// sketch queries, fanned across `pool` in contiguous id chunks (each chunk
-/// fills only its own output slice, so the scan is deterministic for any
-/// thread count). Shared by the single server and the sharded cluster so
-/// both finalize paths are the same code — identical results by
-/// construction.
-[[nodiscard]] std::vector<double> scan_users_counts(
-    const sketch::CountMinSketch& aggregate, std::uint64_t id_space,
-    util::ThreadPool& pool);
-
 /// Shared tail of every finalize path (single server and cluster):
-/// rebuild the aggregate sketch from fully unblinded cells, scan the id
-/// space across `pool`, and derive the distribution + Users_th under
-/// `config`'s rule. Keeping this in one place is what makes the cluster
-/// identical to the single server by construction.
+/// rebuild the aggregate sketch from fully unblinded cells, fold the id
+/// space into the #Users histogram in one pass across `pool`, and derive
+/// Users_th under `config`'s rule. Keeping this in one place is what makes
+/// the cluster identical to the single server by construction.
 [[nodiscard]] RoundResult finalize_from_cells(
     const BackendConfig& config, std::span<const crypto::BlindCell> cells,
     std::size_t reports, std::size_t roster, util::ThreadPool& pool);

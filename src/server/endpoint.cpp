@@ -121,7 +121,7 @@ std::vector<std::uint8_t> BackendEndpoint::on_control(
       summary.users_threshold = result.users_threshold;
       summary.reports = static_cast<std::uint32_t>(result.reports);
       summary.roster = static_cast<std::uint32_t>(result.roster);
-      summary.counts = result.distribution.counts();
+      summary.distribution = result.distribution;
       summary.sketch_frame = sketch::encode_sketch(result.aggregate);
       counters_.control_served.fetch_add(1, std::memory_order_relaxed);
       return summary.encode(env.round);

@@ -121,7 +121,7 @@ void RemoteBackend::submit_adjustment(std::size_t participant_index,
 
 RoundResult RemoteBackend::finalize_round(util::ThreadPool* /*pool*/) {
   const auto reply = exchange_barrier(proto::encode_finalize_request(round_));
-  const proto::RoundSummary summary = proto::RoundSummary::decode(
+  proto::RoundSummary summary = proto::RoundSummary::decode(
       proto::expect_reply(reply, proto::MsgKind::kRoundSummary));
 
   sketch::DecodedFrame frame;
@@ -136,13 +136,19 @@ RoundResult RemoteBackend::finalize_round(util::ThreadPool* /*pool*/) {
     throw proto::ProtoError(proto::ErrorCode::kMalformed,
                             "round-summary: aggregate is not a plain sketch");
 
-  RoundResult result{.aggregate = sketch::sketch_from_frame(frame),
-                     .distribution = core::UsersDistribution::from_counts(
-                         summary.counts),
-                     .users_threshold = summary.users_threshold,
-                     .reports = summary.reports,
-                     .roster = summary.roster};
-  return result;
+  // Every estimate is one of the d·w cells, and the server scans
+  // id_space ids: a histogram outside either bound is not this round's.
+  if (summary.distribution.histogram().size() > config_.cms_params.cells() ||
+      summary.distribution.size() > config_.id_space)
+    throw proto::ProtoError(
+        proto::ErrorCode::kMalformed,
+        "round-summary: histogram larger than the sketch or the id space");
+
+  return {.aggregate = sketch::sketch_from_frame(frame),
+          .distribution = std::move(summary.distribution),
+          .users_threshold = summary.users_threshold,
+          .reports = summary.reports,
+          .roster = summary.roster};
 }
 
 }  // namespace eyw::server

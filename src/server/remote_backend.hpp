@@ -79,8 +79,10 @@ class RemoteBackend final : public RoundBackend {
 
   /// Fetches the server's RoundSummary and rebuilds the RoundResult from
   /// it — bit-identical to the server's local result (the aggregate rides
-  /// an 'EYWS' frame, threshold and distribution are bit-cast f64).
-  /// `pool` is ignored: the scan fans out server-side.
+  /// an 'EYWS' frame, the threshold is a bit-cast f64, the distribution
+  /// its exact histogram). A histogram with more bins than the configured
+  /// sketch has cells, or more ids than id_space, is refused with
+  /// kMalformed. `pool` is ignored: the scan fans out server-side.
   [[nodiscard]] RoundResult finalize_round(
       util::ThreadPool* pool = nullptr) override;
 

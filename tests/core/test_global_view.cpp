@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/thresholds.hpp"
+
 namespace eyw::core {
 namespace {
 
@@ -49,7 +53,7 @@ TEST(UsersDistribution, ZeroCountsExcluded) {
   const std::vector<double> counts{0, 0, 2, 4, 0};
   const auto d = UsersDistribution::from_counts(counts);
   EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 3.0);
-  EXPECT_EQ(d.counts().size(), 2u);
+  EXPECT_EQ(d.size(), 2u);
 }
 
 TEST(UsersDistribution, EmptyIsSafe) {
@@ -59,11 +63,48 @@ TEST(UsersDistribution, EmptyIsSafe) {
 }
 
 TEST(UsersDistribution, HistogramMatchesCounts) {
-  const std::vector<double> counts{2, 2, 3};
+  const std::vector<double> counts{3, 2, 2};
   const auto d = UsersDistribution::from_counts(counts);
-  EXPECT_EQ(d.histogram().count(2), 2u);
-  EXPECT_EQ(d.histogram().count(3), 1u);
-  EXPECT_EQ(d.histogram().total(), 3u);
+  EXPECT_EQ(d.histogram(), (std::vector<UsersBin>{{.value = 2, .weight = 2},
+                                                   {.value = 3, .weight = 1}}));
+  EXPECT_EQ(d.size(), 3u);
+}
+
+TEST(UsersDistribution, FromBinsRefusesMalformedHistograms) {
+  const auto refused = [](std::vector<UsersBin> bins) {
+    try {
+      (void)UsersDistribution::from_bins(std::move(bins));
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused({{.value = 0, .weight = 1}}));
+  EXPECT_TRUE(refused({{.value = 2, .weight = 0}}));
+  EXPECT_TRUE(refused({{.value = 3, .weight = 1}, {.value = 2, .weight = 1}}));
+  EXPECT_TRUE(refused({{.value = 2, .weight = 1}, {.value = 2, .weight = 1}}));
+  EXPECT_TRUE(refused({{.value = 1, .weight = ~std::uint64_t{0}},
+                       {.value = 2, .weight = 1}}));
+  EXPECT_FALSE(refused({}));
+  EXPECT_FALSE(refused({{.value = 1, .weight = 5}, {.value = 9, .weight = 1}}));
+}
+
+TEST(UsersDistribution, ThresholdsMatchTheExpandedSample) {
+  // Mean and median from the histogram equal estimate_threshold over the
+  // expanded sample bit for bit; the stddev term agrees to a few ulp.
+  const std::vector<double> counts{7, 1, 3, 3, 9, 1, 1, 4, 3, 12, 2};
+  const auto d = UsersDistribution::from_counts(counts);
+  std::vector<double> even(counts.begin(), counts.end() - 1);
+  const auto d_even = UsersDistribution::from_counts(even);
+  for (const ThresholdRule rule :
+       {ThresholdRule::kMean, ThresholdRule::kMedian,
+        ThresholdRule::kMeanPlusMedian}) {
+    EXPECT_EQ(d.threshold(rule), estimate_threshold(counts, rule));
+    EXPECT_EQ(d_even.threshold(rule), estimate_threshold(even, rule));
+  }
+  EXPECT_NEAR(d.threshold(ThresholdRule::kMeanPlusStddev),
+              estimate_threshold(counts, ThresholdRule::kMeanPlusStddev),
+              1e-12);
 }
 
 TEST(UsersDistribution, MedianAndMeanRulesDiffer) {
@@ -71,6 +112,35 @@ TEST(UsersDistribution, MedianAndMeanRulesDiffer) {
   const auto d = UsersDistribution::from_counts(counts);
   EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMedian), 1.0);
   EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 4.0);
+}
+
+TEST(UsersDistribution, PdfIsWeightShare) {
+  const auto d =
+      UsersDistribution::from_counts(std::vector<double>{1, 1, 1, 4});
+  EXPECT_DOUBLE_EQ(d.pdf(1), 0.75);
+  EXPECT_DOUBLE_EQ(d.pdf(4), 0.25);
+  EXPECT_DOUBLE_EQ(d.pdf(2), 0.0);
+  EXPECT_DOUBLE_EQ(UsersDistribution{}.pdf(1), 0.0);
+}
+
+TEST(TotalVariation, IdenticalShapeIsZero) {
+  const auto a = UsersDistribution::from_bins({{1, 2}, {2, 2}, {5, 2}});
+  const auto b = UsersDistribution::from_bins({{1, 4}, {2, 4}, {5, 4}});
+  EXPECT_NEAR(total_variation(a, b), 0.0, 1e-12);
+}
+
+TEST(TotalVariation, DisjointIsOne) {
+  const auto a = UsersDistribution::from_bins({{1, 5}});
+  const auto b = UsersDistribution::from_bins({{2, 5}});
+  EXPECT_NEAR(total_variation(a, b), 1.0, 1e-12);
+}
+
+TEST(TotalVariation, SymmetricAndExact) {
+  const auto a = UsersDistribution::from_bins({{1, 3}, {2, 1}});
+  const auto b = UsersDistribution::from_bins({{1, 1}, {3, 3}});
+  // |3/4 - 1/4| + |1/4 - 0| + |0 - 3/4|, halved.
+  EXPECT_DOUBLE_EQ(total_variation(a, b), 0.75);
+  EXPECT_DOUBLE_EQ(total_variation(b, a), 0.75);
 }
 
 TEST(UsersDistribution, EndToEndWithCounter) {

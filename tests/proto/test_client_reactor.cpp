@@ -550,7 +550,7 @@ TEST(ClientReactor, ThousandReporterSwarmOnTwoThreadsBitIdenticalRound) {
     for (std::size_t c = 0; c < want_cells.size(); ++c)
       ASSERT_EQ(want_cells[c], got_cells[c]) << "cell " << c;
     EXPECT_EQ(want.users_threshold, got.users_threshold);
-    EXPECT_EQ(want.distribution.counts(), got.distribution.counts());
+    EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
     EXPECT_EQ(got.reports, kReporters);
 
     // Counters, both ends: every connection accounted, nothing refused,

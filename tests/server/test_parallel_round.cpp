@@ -50,7 +50,7 @@ void expect_identical(const RoundResult& a, const RoundResult& b) {
   for (std::size_t i = 0; i < ca.size(); ++i)
     ASSERT_EQ(ca[i], cb[i]) << "cell " << i;
   EXPECT_EQ(a.users_threshold, b.users_threshold);  // bitwise, not NEAR
-  EXPECT_EQ(a.distribution.counts(), b.distribution.counts());
+  EXPECT_EQ(a.distribution.histogram(), b.distribution.histogram());
   EXPECT_EQ(a.reports, b.reports);
   EXPECT_EQ(a.roster, b.roster);
 }

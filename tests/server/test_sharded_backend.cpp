@@ -80,7 +80,7 @@ TEST(BackendCluster, FullRoundMatchesSingleServerExactly) {
     ASSERT_EQ(cells_a.size(), cells_b.size());
     for (std::size_t m = 0; m < cells_a.size(); ++m)
       ASSERT_EQ(cells_a[m], cells_b[m]) << "cell " << m << " shards=" << shards;
-    EXPECT_EQ(ra.distribution.counts(), rb.distribution.counts());
+    EXPECT_EQ(ra.distribution.histogram(), rb.distribution.histogram());
     EXPECT_EQ(ra.users_threshold, rb.users_threshold);
     EXPECT_EQ(rb.reports, 9u);
     EXPECT_EQ(*cluster.users_for(mapper.map("https://everyone.test")),
@@ -106,7 +106,7 @@ TEST(BackendCluster, MissingClientAdjustmentRoundMatchesSingleServer) {
   const RoundResult rb = cb.run_round(0, reporting);
 
   EXPECT_EQ(ra.users_threshold, rb.users_threshold);
-  EXPECT_EQ(ra.distribution.counts(), rb.distribution.counts());
+  EXPECT_EQ(ra.distribution.histogram(), rb.distribution.histogram());
   EXPECT_EQ(rb.reports, reporting.size());
   EXPECT_EQ(*cluster.users_for(mapper.map("https://everyone.test")),
             static_cast<double>(reporting.size()));

@@ -6,6 +6,7 @@
 // crossed the socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -109,7 +110,7 @@ TEST(TcpRound, FullRoundBitIdenticalToLoopbackAndBytesAccounted) {
   ASSERT_EQ(want_cells.size(), got_cells.size());
   for (std::size_t i = 0; i < want_cells.size(); ++i)
     ASSERT_EQ(want_cells[i], got_cells[i]) << "cell " << i;
-  EXPECT_EQ(want.distribution.counts(), got.distribution.counts());
+  EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
   EXPECT_EQ(want.users_threshold, got.users_threshold);
   EXPECT_EQ(want.reports, got.reports);
   EXPECT_EQ(want.roster, got.roster);
@@ -176,7 +177,7 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncDispatcherAndShards) {
   ASSERT_EQ(want_cells.size(), got_cells.size());
   for (std::size_t i = 0; i < want_cells.size(); ++i)
     ASSERT_EQ(want_cells[i], got_cells[i]) << "cell " << i;
-  EXPECT_EQ(want.distribution.counts(), got.distribution.counts());
+  EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
   EXPECT_EQ(want.users_threshold, got.users_threshold);
   EXPECT_EQ(want.reports, got.reports);
   EXPECT_EQ(want.roster, got.roster);
@@ -242,7 +243,7 @@ TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
   ASSERT_EQ(want_cells.size(), got_cells.size());
   for (std::size_t i = 0; i < want_cells.size(); ++i)
     ASSERT_EQ(want_cells[i], got_cells[i]) << "cell " << i;
-  EXPECT_EQ(want.distribution.counts(), got.distribution.counts());
+  EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
   EXPECT_EQ(want.users_threshold, got.users_threshold);
   EXPECT_EQ(want.reports, got.reports);
   EXPECT_EQ(want.roster, got.roster);
@@ -289,7 +290,7 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncClientChannel) {
   ASSERT_EQ(want_cells.size(), got_cells.size());
   for (std::size_t i = 0; i < want_cells.size(); ++i)
     ASSERT_EQ(want_cells[i], got_cells[i]) << "cell " << i;
-  EXPECT_EQ(want.distribution.counts(), got.distribution.counts());
+  EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
   EXPECT_EQ(want.users_threshold, got.users_threshold);
   EXPECT_EQ(want.reports, got.reports);
   EXPECT_EQ(want.roster, got.roster);
@@ -301,6 +302,52 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncClientChannel) {
   EXPECT_EQ(server_stats.bytes_received, client_stats.bytes_sent);
   EXPECT_EQ(server_stats.bytes_sent, client_stats.bytes_received);
   EXPECT_EQ(server_stats.messages_received, client_stats.messages_sent);
+}
+
+TEST(TcpRound, IdSpaceAboveFourMillionFinalizesOverTcp) {
+  // Regression: the summary used to carry one f64 per id with a non-zero
+  // estimate. With every cell non-zero, so is every id of a 2^22 + 1 id
+  // space: the server encoded ~4.19M counts, the client refused them as
+  // kOversized, and the round could not finalize. The histogram has at
+  // most d·w bins whatever the id space.
+  BackendConfig config = backend_config();
+  config.id_space = (std::uint64_t{1} << 22) + 1;
+  const auto cells = [](std::size_t reporter) {
+    std::vector<crypto::BlindCell> out(kParams.cells());
+    for (std::size_t c = 0; c < out.size(); ++c)
+      out[c] = static_cast<crypto::BlindCell>(1 + (reporter * 7 + c) % 5);
+    return out;
+  };
+  constexpr std::size_t kRoster = 3;
+
+  BackendCluster loop_cluster(config, 2);
+  loop_cluster.begin_round(0, kRoster);
+  for (std::size_t i = 0; i < kRoster; ++i)
+    loop_cluster.submit_report(i, cells(i));
+  const RoundResult want = loop_cluster.finalize_round();
+  ASSERT_EQ(want.distribution.size(), config.id_space);
+
+  BackendCluster tcp_cluster(config, 2);
+  BackendEndpoint endpoint(tcp_cluster, /*serve_control=*/true);
+  proto::FrameServer server([&](std::span<const std::uint8_t> frame) {
+    return endpoint.handle(frame);
+  });
+  proto::TcpTransport link("127.0.0.1", server.port());
+  RecordingTransport recorded(link);
+  RemoteBackend remote(recorded, config);
+  remote.begin_round(0, kRoster);
+  for (std::size_t i = 0; i < kRoster; ++i) remote.submit_report(i, cells(i));
+  const RoundResult got = remote.finalize_round();
+
+  EXPECT_TRUE(
+      std::ranges::equal(want.aggregate.cells(), got.aggregate.cells()));
+  EXPECT_EQ(want.distribution, got.distribution);
+  EXPECT_EQ(want.users_threshold, got.users_threshold);
+  EXPECT_EQ(want.reports, got.reports);
+  EXPECT_EQ(want.roster, got.roster);
+  // Every reply of the round — acks and the summary — fits in a few KB;
+  // the old summary alone was ~32 MB.
+  EXPECT_LT(recorded.reply_bytes, 16u * 1024);
 }
 
 TEST(TcpRound, PipelinedSubmissionErrorSurfacesAtNextBarrier) {

@@ -62,7 +62,7 @@ inline bool results_identical(const server::RoundResult& a,
   const auto ac = a.aggregate.cells();
   const auto bc = b.aggregate.cells();
   if (ac.size() != bc.size() || a.users_threshold != b.users_threshold ||
-      a.distribution.counts() != b.distribution.counts() ||
+      a.distribution != b.distribution ||
       a.reports != b.reports || a.roster != b.roster)
     return false;
   for (std::size_t i = 0; i < ac.size(); ++i)

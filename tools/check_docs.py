@@ -2,9 +2,10 @@
 """Markdown link-and-anchor checker for README.md and docs/.
 
 Verifies that every relative link in the repo's markdown resolves to an
-existing file, and that every fragment (`file.md#anchor`, `#anchor`)
-matches a heading in the target file under GitHub's slugging rules. Run
-from anywhere:
+existing file, that every fragment (`file.md#anchor`, `#anchor`)
+matches a heading in the target file under GitHub's slugging rules, and
+that the cross-references in REQUIRED_LINKS are present. Run from
+anywhere:
 
     python3 tools/check_docs.py
 
@@ -27,6 +28,13 @@ DOC_GLOBS = [
     os.path.join(REPO, "docs", name)
     for name in sorted(os.listdir(os.path.join(REPO, "docs")))
     if name.endswith(".md")
+]
+
+# Cross-references that must be present, not merely resolve:
+# (document, link target as written in it).
+REQUIRED_LINKS = [
+    ("README.md", "bench/e2e/README.md"),
+    ("docs/perf.md", "../bench/e2e/README.md"),
 ]
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
@@ -73,6 +81,7 @@ def anchors_of(path: str) -> set:
 def check():
     errors = []
     anchor_cache = {}
+    found = set()
     for doc in DOC_GLOBS:
         rel_doc = os.path.relpath(doc, REPO)
         in_fence = False
@@ -84,6 +93,7 @@ def check():
                 if in_fence:
                     continue
                 for target in LINK_RE.findall(line):
+                    found.add((rel_doc, target.partition("#")[0]))
                     if re.match(r"^[a-z][a-z0-9+.-]*://", target) or \
                             target.startswith("mailto:"):
                         continue  # external
@@ -108,6 +118,9 @@ def check():
                                 f"{rel_doc}:{lineno}: missing anchor "
                                 f"#{fragment} in "
                                 f"{os.path.relpath(resolved, REPO)}")
+    for doc, target in REQUIRED_LINKS:
+        if (doc, target) not in found:
+            errors.append(f"{doc}: required link to {target} is missing")
     return errors
 
 
