@@ -1,30 +1,11 @@
 #include "core/global_view.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 namespace eyw::core {
-
-namespace {
-
-/// Σ value·weight, exact.
-unsigned __int128 weighted_sum(const std::vector<UsersBin>& bins) noexcept {
-  unsigned __int128 sum = 0;
-  for (const UsersBin& b : bins)
-    sum += static_cast<unsigned __int128>(b.value) * b.weight;
-  return sum;
-}
-
-/// The value at 0-based position `rank` (< the weight sum) of the
-/// expanded, sorted sample.
-double value_at(const std::vector<UsersBin>& bins, std::uint64_t rank) {
-  auto it = bins.begin();
-  while (rank >= it->weight) rank -= (it++)->weight;
-  return it->value;
-}
-
-}  // namespace
 
 void GlobalUserCounter::record(UserId user, AdId ad) {
   seen_by_[ad].insert(user);
@@ -46,19 +27,10 @@ std::vector<double> GlobalUserCounter::distribution() const {
 
 UsersDistribution UsersDistribution::from_counts(
     std::span<const double> counts) {
-  std::vector<std::uint32_t> values;
-  values.reserve(counts.size());
+  UsersTally tally;
   for (double c : counts)
-    if (c >= 1.0) values.push_back(static_cast<std::uint32_t>(c));
-  std::sort(values.begin(), values.end());
-  std::vector<UsersBin> bins;
-  for (std::size_t i = 0; i < values.size();) {
-    std::size_t j = i;
-    while (j < values.size() && values[j] == values[i]) ++j;
-    bins.push_back({.value = values[i], .weight = j - i});
-    i = j;
-  }
-  return from_bins(std::move(bins));
+    if (c >= 1.0) tally.add(static_cast<std::uint32_t>(c));
+  return tally.finish();
 }
 
 UsersDistribution UsersDistribution::from_bins(std::vector<UsersBin> bins) {
@@ -96,37 +68,37 @@ double total_variation(const UsersDistribution& a,
   return acc / 2.0;
 }
 
-double UsersDistribution::threshold(ThresholdRule rule) const {
-  if (size_ == 0) return 0.0;
-  const unsigned __int128 sum = weighted_sum(bins_);
-  const double n = static_cast<double>(size_);
-  const double mean = static_cast<double>(sum) / n;
-  const auto median = [&] {
-    const double hi = value_at(bins_, size_ / 2);
-    if (size_ % 2 == 1) return hi;
-    return (value_at(bins_, size_ / 2 - 1) + hi) / 2.0;
-  };
-  const auto stddev = [&] {
-    if (size_ < 2) return 0.0;
-    const long double m = static_cast<long double>(sum) / size_;
-    long double acc = 0.0L;
-    for (const UsersBin& b : bins_) {
-      const long double dev = b.value - m;
-      acc += dev * dev * static_cast<long double>(b.weight);
-    }
-    return static_cast<double>(std::sqrt(acc / (size_ - 1)));
-  };
-  switch (rule) {
-    case ThresholdRule::kMean:
-      return mean;
-    case ThresholdRule::kMedian:
-      return median();
-    case ThresholdRule::kMeanPlusMedian:
-      return mean + median();
-    case ThresholdRule::kMeanPlusStddev:
-      return mean + stddev();
+UsersTally::UsersTally(std::size_t expected)
+    : shift_(64 - std::bit_width(std::max<std::size_t>(2 * expected, 2) - 1)),
+      keys_(std::size_t{1} << (64 - shift_), 0),
+      weights_(keys_.size(), 0) {}
+
+std::size_t UsersTally::claim(std::size_t s, std::uint32_t value) {
+  if (2 * (used_ + 1) > keys_.size()) {
+    UsersTally bigger(keys_.size());
+    for (const UsersBin& b : bins()) bigger.add(b.value, b.weight);
+    *this = std::move(bigger);
+    s = slot(value);
   }
-  return 0.0;
+  keys_[s] = value;
+  ++used_;
+  return s;
+}
+
+std::vector<UsersBin> UsersTally::bins() const {
+  std::vector<UsersBin> out;
+  out.reserve(used_);
+  for (std::size_t s = 0; s < keys_.size(); ++s)
+    if (keys_[s] != 0) out.push_back({.value = keys_[s], .weight = weights_[s]});
+  return out;
+}
+
+UsersDistribution UsersTally::finish() const {
+  std::vector<UsersBin> out = bins();
+  std::sort(out.begin(), out.end(), [](const UsersBin& a, const UsersBin& b) {
+    return a.value < b.value;
+  });
+  return UsersDistribution::from_bins(std::move(out));
 }
 
 }  // namespace eyw::core

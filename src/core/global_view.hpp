@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "core/thresholds.hpp"
 #include "core/types.hpp"
 
 namespace eyw::core {
@@ -42,14 +43,6 @@ class GlobalUserCounter {
   std::map<AdId, std::set<UserId>> seen_by_;
 };
 
-/// One histogram bin: `weight` ads (or ids) whose #Users is `value`.
-struct UsersBin {
-  std::uint32_t value = 0;
-  std::uint64_t weight = 0;
-
-  bool operator==(const UsersBin&) const = default;
-};
-
 /// The #Users distribution over ads, held as its histogram, and the
 /// threshold derived from it. Count-min estimates only ever take one of
 /// the sketch's d·w cell values, so the histogram of a scan over any id
@@ -68,11 +61,11 @@ class UsersDistribution {
   /// values are strictly ascending and >= 1 and every weight is >= 1.
   [[nodiscard]] static UsersDistribution from_bins(std::vector<UsersBin> bins);
 
-  /// Users_th under the given rule (paper default: mean). Mean and median
-  /// are exact over the integer histogram, so they equal the sequential
-  /// double mean / sorted median of the expanded sample whenever its sum
-  /// is below 2^53; the stddev term is accurate to a few ulp.
-  [[nodiscard]] double threshold(ThresholdRule rule) const;
+  /// Users_th under the given rule (paper default: mean), from the
+  /// histogram (see estimate_threshold).
+  [[nodiscard]] double threshold(ThresholdRule rule) const {
+    return estimate_threshold(bins_, rule);
+  }
 
   /// (value, weight) bins, ascending by value.
   [[nodiscard]] const std::vector<UsersBin>& histogram() const noexcept {
@@ -89,6 +82,49 @@ class UsersDistribution {
  private:
   std::vector<UsersBin> bins_;
   std::uint64_t size_ = 0;
+};
+
+/// Open-addressing value -> weight table that folds #Users values into a
+/// histogram in time linear in the values added. The one histogram
+/// builder: from_counts and the server's finalize scan both use it.
+class UsersTally {
+ public:
+  /// Room for `expected` distinct values before the table first grows.
+  explicit UsersTally(std::size_t expected = 0);
+
+  /// Count `weight` more ads whose #Users is `value`. `value` must be
+  /// >= 1 (a zero key marks a free slot; an ad nobody saw is not an ad).
+  /// Inline: the finalize scan calls this once per id.
+  void add(std::uint32_t value, std::uint64_t weight = 1) {
+    std::size_t s = slot(value);
+    if (keys_[s] == 0) s = claim(s, value);
+    weights_[s] += weight;
+  }
+
+  /// Every tallied (value, weight), in no particular order.
+  [[nodiscard]] std::vector<UsersBin> bins() const;
+
+  /// The tallied histogram as a distribution.
+  [[nodiscard]] UsersDistribution finish() const;
+
+ private:
+  /// Fibonacci hashing into a power-of-two table, linear probing: the
+  /// slot holding `value`, or the free slot it would go in.
+  [[nodiscard]] std::size_t slot(std::uint32_t value) const noexcept {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t s = (value * 0x9E3779B97F4A7C15ull) >> shift_;
+    while (keys_[s] != value && keys_[s] != 0) s = (s + 1) & mask;
+    return s;
+  }
+
+  /// Put `value` into its free slot `s`, first growing the table if that
+  /// would lift the load factor above 1/2. Returns the value's slot.
+  std::size_t claim(std::size_t s, std::uint32_t value);
+
+  int shift_;
+  std::vector<std::uint32_t> keys_;
+  std::vector<std::uint64_t> weights_;
+  std::size_t used_ = 0;
 };
 
 /// Total-variation distance between the PDFs of two distributions:

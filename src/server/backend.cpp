@@ -1,7 +1,6 @@
 #include "server/backend.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "proto/message.hpp"
@@ -93,51 +92,20 @@ std::vector<crypto::BlindCell> BackendServer::partial_aggregate() const {
 
 namespace {
 
-/// Open-addressing value -> weight tally. A zero key marks a free slot;
-/// zero minima never enter the #Users histogram, so none is ever tallied.
-class Tally {
- public:
-  /// Room for `max_keys` distinct values at a load factor of at most 1/2.
-  explicit Tally(std::size_t max_keys)
-      : shift_(64 - std::bit_width(std::max<std::size_t>(2 * max_keys, 2) -
-                                   1)),
-        keys_(std::size_t{1} << (64 - shift_), 0),
-        weights_(keys_.size(), 0) {}
-
-  void add(std::uint32_t value, std::uint64_t weight) noexcept {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t s = (value * 0x9E3779B97F4A7C15ull) >> shift_;
-    while (keys_[s] != value && keys_[s] != 0) s = (s + 1) & mask;
-    keys_[s] = value;
-    weights_[s] += weight;
-  }
-
-  /// Every tallied (value, weight), in slot order.
-  void append_to(std::vector<core::UsersBin>& out) const {
-    for (std::size_t s = 0; s < keys_.size(); ++s)
-      if (keys_[s] != 0)
-        out.push_back({.value = keys_[s], .weight = weights_[s]});
-  }
-
- private:
-  int shift_;
-  std::vector<std::uint32_t> keys_;
-  std::vector<std::uint64_t> weights_;
-};
-
-/// The #Users histogram of [0, id_space) against the unblinded aggregate,
-/// in one fused pass: each 4096-id chunk is queried into a stack buffer
-/// and folded into its own tally, and the per-chunk tallies are summed.
-/// Ids that correspond to no real ad mostly query to 0 and are dropped;
-/// hash collisions inside the CMS are why the estimated threshold sits
-/// slightly above the actual one (Figure 2). Every point query returns one
-/// of the d·w cells, so no tally ever holds more than d·w values. Integer
-/// sums commute, so the result is the same for any thread count.
-std::vector<core::UsersBin> scan_users_histogram(
+/// The #Users distribution of [0, id_space) against the unblinded
+/// aggregate, in one fused pass: each 4096-id chunk is queried into a
+/// stack buffer and folded into its own tally, and the per-chunk tallies
+/// are summed. Ids that correspond to no real ad mostly query to 0 and are
+/// dropped; hash collisions inside the CMS are why the estimated threshold
+/// sits slightly above the actual one (Figure 2). Every point query
+/// returns one of the d·w cells, so no tally ever holds more than d·w
+/// values. Integer sums commute, so the result is the same for any thread
+/// count.
+core::UsersDistribution scan_users_distribution(
     const sketch::CountMinSketch& aggregate, std::uint64_t id_space,
     util::ThreadPool& pool) {
   constexpr std::uint64_t kChunk = 4096;
-  const std::size_t cells = aggregate.params().cells();
+  const std::uint64_t cells = aggregate.params().cells();
   std::vector<std::vector<core::UsersBin>> partial(
       static_cast<std::size_t>((id_space + kChunk - 1) / kChunk));
   pool.parallel_for(partial.size(), [&](std::size_t c) {
@@ -146,24 +114,16 @@ std::vector<core::UsersBin> scan_users_histogram(
         static_cast<std::size_t>(std::min(kChunk, id_space - begin));
     std::uint32_t minima[kChunk];
     aggregate.query_range(begin, begin + n, std::span(minima, n));
-    Tally tally(std::min(n, cells));
+    core::UsersTally tally(std::min<std::uint64_t>(n, cells));
     for (std::size_t i = 0; i < n; ++i)
-      if (minima[i] != 0) tally.add(minima[i], 1);
-    tally.append_to(partial[c]);
+      if (minima[i] != 0) tally.add(minima[i]);
+    partial[c] = tally.bins();
   });
 
-  std::size_t tallied = 0;
-  for (const auto& bins : partial) tallied += bins.size();
-  Tally merged(std::min(tallied, cells));
+  core::UsersTally merged(std::min(id_space, cells));
   for (const auto& bins : partial)
     for (const core::UsersBin& b : bins) merged.add(b.value, b.weight);
-  std::vector<core::UsersBin> out;
-  merged.append_to(out);
-  std::sort(out.begin(), out.end(),
-            [](const core::UsersBin& a, const core::UsersBin& b) {
-              return a.value < b.value;
-            });
-  return out;
+  return merged.finish();
 }
 
 }  // namespace
@@ -180,8 +140,8 @@ RoundResult finalize_from_cells(const BackendConfig& config,
       .reports = reports,
       .roster = roster,
   };
-  result.distribution = core::UsersDistribution::from_bins(
-      scan_users_histogram(result.aggregate, config.id_space, pool));
+  result.distribution =
+      scan_users_distribution(result.aggregate, config.id_space, pool);
   result.users_threshold = result.distribution.threshold(config.users_rule);
   return result;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace eyw::util {
 
@@ -27,12 +26,58 @@ double median(std::span<const double> xs) {
   return (lo + hi) / 2.0;
 }
 
+double variance(std::span<const double> xs) noexcept {
+  if (xs.empty()) return 0.0;
+  const double m = mean(xs);
+  double acc = 0.0;
+  for (double x : xs) acc += (x - m) * (x - m);
+  return acc / static_cast<double>(xs.size());
+}
+
 double stddev(std::span<const double> xs) noexcept {
   if (xs.size() < 2) return 0.0;
   const double m = mean(xs);
   double acc = 0.0;
   for (double x : xs) acc += (x - m) * (x - m);
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
+}
+
+double quantile(std::span<const double> xs, double q) {
+  if (xs.empty()) throw std::invalid_argument("quantile: empty input");
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q not in [0,1]");
+  std::vector<double> v(xs.begin(), xs.end());
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+double min_value(std::span<const double> xs) {
+  if (xs.empty()) throw std::invalid_argument("min_value: empty input");
+  return *std::min_element(xs.begin(), xs.end());
+}
+
+double max_value(std::span<const double> xs) {
+  if (xs.empty()) throw std::invalid_argument("max_value: empty input");
+  return *std::max_element(xs.begin(), xs.end());
+}
+
+Summary summarize(std::span<const double> xs) {
+  Summary s;
+  s.count = xs.size();
+  if (xs.empty()) return s;
+  s.mean = mean(xs);
+  s.median = median(xs);
+  s.stddev = stddev(xs);
+  s.min = min_value(xs);
+  s.max = max_value(xs);
+  s.p25 = quantile(xs, 0.25);
+  s.p75 = quantile(xs, 0.75);
+  s.p95 = quantile(xs, 0.95);
+  s.p99 = quantile(xs, 0.99);
+  return s;
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {

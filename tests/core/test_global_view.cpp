@@ -70,6 +70,21 @@ TEST(UsersDistribution, HistogramMatchesCounts) {
   EXPECT_EQ(d.size(), 3u);
 }
 
+TEST(UsersTally, GrowsPastItsSizeHintAndSumsWeights) {
+  // Start from the smallest table; 5000 distinct values force it to grow
+  // repeatedly, and every value arrives twice so weights must add up.
+  UsersTally tally;
+  std::vector<UsersBin> expected;
+  for (std::uint32_t v = 1; v <= 5000; ++v) {
+    tally.add(v, v % 7 + 1);
+    expected.push_back({.value = v, .weight = v % 7 + 2});
+  }
+  for (std::uint32_t v = 5000; v >= 1; --v) tally.add(v);
+  EXPECT_EQ(tally.bins().size(), 5000u);
+  EXPECT_EQ(tally.finish(), UsersDistribution::from_bins(expected));
+  EXPECT_TRUE(UsersTally{}.finish().empty());
+}
+
 TEST(UsersDistribution, FromBinsRefusesMalformedHistograms) {
   const auto refused = [](std::vector<UsersBin> bins) {
     try {

@@ -45,6 +45,25 @@ TEST(Thresholds, SingleElement) {
                    5.0);
 }
 
+TEST(Thresholds, HistogramAgreesWithTheExpandedSample) {
+  // kDist as (value, weight) bins: one rule, two representations.
+  const std::vector<UsersBin> bins{
+      {.value = 1, .weight = 1}, {.value = 2, .weight = 2},
+      {.value = 3, .weight = 1}, {.value = 4, .weight = 1},
+      {.value = 6, .weight = 1}};
+  for (const auto rule :
+       {ThresholdRule::kMean, ThresholdRule::kMedian,
+        ThresholdRule::kMeanPlusMedian}) {
+    EXPECT_EQ(estimate_threshold(bins, rule), estimate_threshold(kDist, rule))
+        << to_string(rule);
+  }
+  EXPECT_NEAR(estimate_threshold(bins, ThresholdRule::kMeanPlusStddev),
+              estimate_threshold(kDist, ThresholdRule::kMeanPlusStddev),
+              1e-12);
+  EXPECT_EQ(estimate_threshold(std::vector<UsersBin>{}, ThresholdRule::kMean),
+            0.0);
+}
+
 // Mean+Median is always at least Mean for non-negative samples, which is
 // why Figure 3 shows it trading extra repetitions for fewer false negatives.
 class ThresholdOrdering : public ::testing::TestWithParam<std::uint64_t> {};

@@ -38,6 +38,11 @@ TEST(Stats, MedianEmptyIsZero) {
   EXPECT_DOUBLE_EQ(median(std::vector<double>{}), 0.0);
 }
 
+TEST(Stats, PopulationVariance) {
+  // Known example: population stddev of kSample is 2.
+  EXPECT_DOUBLE_EQ(variance(kSample), 4.0);
+}
+
 TEST(Stats, SampleStddev) {
   const double expected = std::sqrt(32.0 / 7.0);
   EXPECT_NEAR(stddev(kSample), expected, 1e-12);
@@ -50,6 +55,53 @@ TEST(Stats, StddevDegenerate) {
 
 TEST(Stats, StddevConstantIsZero) {
   EXPECT_DOUBLE_EQ(stddev(std::vector<double>{3, 3, 3, 3}), 0.0);
+}
+
+TEST(Stats, QuantileEndpoints) {
+  EXPECT_DOUBLE_EQ(quantile(kSample, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(quantile(kSample, 1.0), 9.0);
+}
+
+TEST(Stats, QuantileInterpolates) {
+  const std::vector<double> v{0, 10};
+  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 5.0);
+  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.5);
+}
+
+TEST(Stats, QuantileMedianAgreement) {
+  EXPECT_DOUBLE_EQ(quantile(kSample, 0.5), median(kSample));
+}
+
+TEST(Stats, QuantileRejectsBadInput) {
+  EXPECT_THROW((void)quantile(std::vector<double>{}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(kSample, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile(kSample, 1.1), std::invalid_argument);
+}
+
+TEST(Stats, MinMax) {
+  EXPECT_DOUBLE_EQ(min_value(kSample), 2.0);
+  EXPECT_DOUBLE_EQ(max_value(kSample), 9.0);
+  EXPECT_THROW((void)min_value(std::vector<double>{}), std::invalid_argument);
+  EXPECT_THROW((void)max_value(std::vector<double>{}), std::invalid_argument);
+}
+
+TEST(Stats, SummaryConsistent) {
+  const Summary s = summarize(kSample);
+  EXPECT_EQ(s.count, kSample.size());
+  EXPECT_DOUBLE_EQ(s.mean, mean(kSample));
+  EXPECT_DOUBLE_EQ(s.median, median(kSample));
+  EXPECT_DOUBLE_EQ(s.min, 2.0);
+  EXPECT_DOUBLE_EQ(s.max, 9.0);
+  EXPECT_LE(s.p25, s.median);
+  EXPECT_LE(s.median, s.p75);
+  EXPECT_LE(s.p75, s.p95);
+  EXPECT_LE(s.p95, s.p99);
+}
+
+TEST(Stats, SummaryEmpty) {
+  const Summary s = summarize(std::vector<double>{});
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_DOUBLE_EQ(s.mean, 0.0);
 }
 
 TEST(Stats, PearsonPerfectCorrelation) {
@@ -74,6 +126,13 @@ TEST(Stats, PearsonSizeMismatchThrows) {
   EXPECT_THROW(
       (void)pearson(std::vector<double>{1, 2}, std::vector<double>{1, 2, 3}),
       std::invalid_argument);
+}
+
+TEST(Stats, ToDoubles) {
+  const std::vector<int> in{1, 2, 3};
+  const auto out = to_doubles(in);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_DOUBLE_EQ(out[2], 3.0);
 }
 
 }  // namespace
