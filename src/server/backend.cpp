@@ -5,6 +5,7 @@
 
 #include "proto/message.hpp"
 #include "sketch/serialize.hpp"
+#include "sketch/sketch_kernel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace eyw::server {
@@ -22,17 +23,30 @@ BackendServer::BackendServer(BackendConfig config) : config_(config) {
   if (config_.cms_params.cells() > sketch::kMaxFrameCells ||
       4 + sketch::encoded_size(config_.cms_params) > proto::kMaxPayloadBytes)
     throw std::invalid_argument("BackendServer: geometry above wire caps");
+  sum_.assign(config_.cms_params.cells(), 0);
+}
+
+void check_membership_sets(const RoundSnapshot& snapshot) {
+  const auto sorted_unique = [&](const std::vector<std::uint32_t>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (v[i] >= snapshot.roster) return false;
+      if (i > 0 && v[i] <= v[i - 1]) return false;
+    }
+    return true;
+  };
+  if (!sorted_unique(snapshot.reporters) || !sorted_unique(snapshot.adjusters))
+    throw std::invalid_argument("restore_round: bad membership sets");
 }
 
 void BackendServer::begin_round(std::uint64_t round, std::size_t roster_size) {
   round_ = round;
   open_ = true;
   roster_size_ = roster_size;
-  reports_.clear();
-  adjustments_.clear();
-  restored_cells_.clear();
-  restored_reporters_.clear();
-  restored_adjusters_.clear();
+  std::fill(sum_.begin(), sum_.end(), 0);
+  reported_.assign(roster_size, false);
+  adjusted_.assign(roster_size, false);
+  reports_ = 0;
+  adjustments_ = 0;
   bytes_received_ = 0;
 }
 
@@ -40,22 +54,26 @@ void BackendServer::submit_report(std::size_t participant_index,
                                   std::vector<crypto::BlindCell> blinded_cells) {
   if (participant_index >= roster_size_)
     throw std::invalid_argument("submit_report: index outside roster");
-  if (blinded_cells.size() != config_.cms_params.cells())
+  if (blinded_cells.size() != sum_.size())
     throw std::invalid_argument("submit_report: cell-count mismatch");
-  // Duplicate refusal must see snapshot-restored reporters too: after a
+  // The bitmap covers snapshot-restored reporters too: after a
   // crash-recovery, a reporter whose pre-crash submission survived in the
   // checkpoint retrying its report is the common case, not a corner one.
-  if (restored_reporters_.contains(participant_index))
+  if (reported_[participant_index])
     throw std::invalid_argument("submit_report: duplicate report");
-  if (!reports_.emplace(participant_index, std::move(blinded_cells)).second)
-    throw std::invalid_argument("submit_report: duplicate report");
+  // Wrapping u32 addition commutes, so folding on arrival is bit-identical
+  // to summing every report in participant order at finalize.
+  sketch::active_sketch_kernel().add_cells(sum_.data(), blinded_cells.data(),
+                                           sum_.size());
+  reported_[participant_index] = true;
+  ++reports_;
   bytes_received_ += config_.cms_params.bytes();
 }
 
 std::vector<std::size_t> BackendServer::missing_participants() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < roster_size_; ++i)
-    if (!has_report(i)) out.push_back(i);
+    if (!reported_[i]) out.push_back(i);
   return out;
 }
 
@@ -64,30 +82,14 @@ void BackendServer::submit_adjustment(
   if (!has_report(participant_index))
     throw std::invalid_argument(
         "submit_adjustment: adjustments come from reporters only");
-  if (adjustment.size() != config_.cms_params.cells())
+  if (adjustment.size() != sum_.size())
     throw std::invalid_argument("submit_adjustment: cell-count mismatch");
-  if (restored_adjusters_.contains(participant_index))
+  if (adjusted_[participant_index])
     throw std::invalid_argument("submit_adjustment: duplicate adjustment");
-  if (!adjustments_.emplace(participant_index, std::move(adjustment)).second)
-    throw std::invalid_argument("submit_adjustment: duplicate adjustment");
+  crypto::apply_adjustment(sum_, adjustment);
+  adjusted_[participant_index] = true;
+  ++adjustments_;
   bytes_received_ += config_.cms_params.bytes();
-}
-
-std::vector<crypto::BlindCell> BackendServer::partial_aggregate() const {
-  // Sum the blinded reports in place — no per-report copies. The restored
-  // base (empty outside recovery) seeds the sum: wrapping u32 addition is
-  // commutative, so "snapshot sum + live reports" is bit-identical to
-  // summing every original report in participant order.
-  const std::size_t n_cells = config_.cms_params.cells();
-  std::vector<crypto::BlindCell> aggregate_cells =
-      restored_cells_.empty() ? std::vector<crypto::BlindCell>(n_cells, 0)
-                              : restored_cells_;
-  for (const auto& [idx, cells] : reports_) {
-    for (std::size_t m = 0; m < n_cells; ++m) aggregate_cells[m] += cells[m];
-  }
-  for (const auto& [idx, adj] : adjustments_)
-    crypto::apply_adjustment(aggregate_cells, adj);
-  return aggregate_cells;
 }
 
 namespace {
@@ -157,8 +159,8 @@ RoundResult BackendServer::finalize_round(util::ThreadPool* pool) {
         "finalize_round: missing clients but not all adjustments received");
   }
 
-  last_result_ = finalize_from_cells(config_, partial_aggregate(), reports,
-                                     roster_size_, *pool);
+  last_result_ =
+      finalize_from_cells(config_, sum_, reports, roster_size_, *pool);
   return *last_result_;
 }
 
@@ -168,50 +170,34 @@ RoundSnapshot BackendServer::snapshot_round() const {
   snap.roster = roster_size_;
   snap.bytes_received = bytes_received_;
   snap.params = config_.cms_params;
-  snap.base_cells = partial_aggregate();
-  snap.reporters.reserve(reports_received());
-  for (const std::size_t p : restored_reporters_)
-    snap.reporters.push_back(static_cast<std::uint32_t>(p));
-  for (const auto& [p, cells] : reports_)
-    snap.reporters.push_back(static_cast<std::uint32_t>(p));
-  snap.adjusters.reserve(adjustments_received());
-  for (const std::size_t p : restored_adjusters_)
-    snap.adjusters.push_back(static_cast<std::uint32_t>(p));
-  for (const auto& [p, cells] : adjustments_)
-    snap.adjusters.push_back(static_cast<std::uint32_t>(p));
-  // Both source containers are ordered but their ranges interleave.
-  std::sort(snap.reporters.begin(), snap.reporters.end());
-  std::sort(snap.adjusters.begin(), snap.adjusters.end());
+  snap.base_cells = sum_;
+  // Scanning the bitmaps in index order yields the sorted lists directly.
+  snap.reporters.reserve(reports_);
+  snap.adjusters.reserve(adjustments_);
+  for (std::size_t p = 0; p < roster_size_; ++p) {
+    if (reported_[p]) snap.reporters.push_back(static_cast<std::uint32_t>(p));
+    if (adjusted_[p]) snap.adjusters.push_back(static_cast<std::uint32_t>(p));
+  }
   return snap;
 }
 
 void BackendServer::restore_round(const RoundSnapshot& snapshot) {
   if (snapshot.params != config_.cms_params)
     throw std::invalid_argument("restore_round: geometry != backend config");
-  if (!snapshot.base_cells.empty() &&
-      snapshot.base_cells.size() != config_.cms_params.cells())
+  if (!snapshot.base_cells.empty() && snapshot.base_cells.size() != sum_.size())
     throw std::invalid_argument("restore_round: base-cell count mismatch");
-  std::uint32_t prev = 0;
-  bool first = true;
-  for (const std::uint32_t p : snapshot.reporters) {
-    if (p >= snapshot.roster || (!first && p <= prev))
-      throw std::invalid_argument("restore_round: bad reporter set");
-    prev = p;
-    first = false;
-  }
-  std::set<std::size_t> reporters(snapshot.reporters.begin(),
-                                  snapshot.reporters.end());
-  for (const std::uint32_t p : snapshot.adjusters) {
-    if (!reporters.contains(p))
-      throw std::invalid_argument(
-          "restore_round: adjuster outside the reporter set");
-  }
+  check_membership_sets(snapshot);
+  if (!std::includes(snapshot.reporters.begin(), snapshot.reporters.end(),
+                     snapshot.adjusters.begin(), snapshot.adjusters.end()))
+    throw std::invalid_argument(
+        "restore_round: adjuster outside the reporter set");
 
   begin_round(snapshot.round, snapshot.roster);
-  restored_cells_ = snapshot.base_cells;
-  restored_reporters_ = std::move(reporters);
-  restored_adjusters_.insert(snapshot.adjusters.begin(),
-                             snapshot.adjusters.end());
+  if (!snapshot.base_cells.empty()) sum_ = snapshot.base_cells;
+  for (const std::uint32_t p : snapshot.reporters) reported_[p] = true;
+  for (const std::uint32_t p : snapshot.adjusters) adjusted_[p] = true;
+  reports_ = snapshot.reporters.size();
+  adjustments_ = snapshot.adjusters.size();
   bytes_received_ = snapshot.bytes_received;
 }
 

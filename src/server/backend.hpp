@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -56,6 +54,12 @@ struct RoundSnapshot {
   std::vector<std::uint32_t> reporters;
   std::vector<std::uint32_t> adjusters;
 };
+
+/// Throws std::invalid_argument unless `snapshot`'s reporter and adjuster
+/// lists are each strictly increasing and below its roster — the shape
+/// snapshot_round produces. Every restore_round checks this before it
+/// touches state: a repeated index would be counted twice.
+void check_membership_sets(const RoundSnapshot& snapshot);
 
 /// Everything the back-end derives from one reporting round.
 struct RoundResult {
@@ -194,27 +198,33 @@ class BackendServer final : public RoundBackend {
   [[nodiscard]] RoundSnapshot snapshot_round() const override;
   void restore_round(const RoundSnapshot& snapshot) override;
 
-  /// This node's blinded partial sum: received reports summed cell-wise
-  /// with its adjustments applied (on top of any restored snapshot base),
-  /// no completeness checks and no scan. A cluster front door merges
-  /// these across shards before unblinding makes sense; all-zero when the
-  /// node received nothing this round.
-  [[nodiscard]] std::vector<crypto::BlindCell> partial_aggregate() const;
-
-  /// Reports received this round (live + restored).
-  [[nodiscard]] std::size_t reports_received() const noexcept {
-    return reports_.size() + restored_reporters_.size();
+  /// This node's blinded partial sum: every accepted report added in on
+  /// arrival, its adjustments subtracted (on top of any restored snapshot
+  /// base), no completeness checks and no scan. A cluster front door
+  /// merges these across shards before unblinding makes sense; all-zero
+  /// when the node received nothing this round.
+  [[nodiscard]] std::span<const crypto::BlindCell> partial_aggregate()
+      const noexcept {
+    return sum_;
   }
-  /// Whether `participant` has reported this round (O(log reports); the
+
+  /// Reports received this round (including restored ones).
+  [[nodiscard]] std::size_t reports_received() const noexcept {
+    return reports_;
+  }
+  /// Whether `participant` has reported this round (one bit test; the
   /// cluster's missing scan asks its routed shard instead of diffing
   /// full-roster missing lists).
   [[nodiscard]] bool has_report(std::size_t participant) const noexcept {
-    return reports_.contains(participant) ||
-           restored_reporters_.contains(participant);
+    return participant < reported_.size() && reported_[participant];
   }
-  /// Adjustments received this round (live + restored).
+  /// Whether `participant`'s adjustment has been applied this round.
+  [[nodiscard]] bool has_adjustment(std::size_t participant) const noexcept {
+    return participant < adjusted_.size() && adjusted_[participant];
+  }
+  /// Adjustments received this round (including restored ones).
   [[nodiscard]] std::size_t adjustments_received() const noexcept {
-    return adjustments_.size() + restored_adjusters_.size();
+    return adjustments_;
   }
 
   /// Estimated #Users for one ad id, from the last finalized round.
@@ -234,15 +244,15 @@ class BackendServer final : public RoundBackend {
   std::uint64_t round_ = 0;
   bool open_ = false;
   std::size_t roster_size_ = 0;
-  std::map<std::size_t, std::vector<crypto::BlindCell>> reports_;
-  std::map<std::size_t, std::vector<crypto::BlindCell>> adjustments_;
-  // Snapshot-restored state: the pre-crash submissions exist only as
-  // their blinded sum plus membership sets (per-participant vectors are
-  // not kept — see RoundSnapshot). Live maps hold post-restore traffic;
-  // every query/duplicate/eligibility path consults both.
-  std::vector<crypto::BlindCell> restored_cells_;
-  std::set<std::size_t> restored_reporters_;
-  std::set<std::size_t> restored_adjusters_;
+  // Round state is O(cells + roster), the same shape as RoundSnapshot:
+  // the running blinded sum (d·w cells) every submission is folded into
+  // on arrival, plus who has contributed. Per-participant cells are never
+  // kept — aggregation only ever observes their wrapping sum.
+  std::vector<crypto::BlindCell> sum_;
+  std::vector<bool> reported_;
+  std::vector<bool> adjusted_;
+  std::size_t reports_ = 0;
+  std::size_t adjustments_ = 0;
   std::size_t bytes_received_ = 0;
   std::optional<RoundResult> last_result_;
 };

@@ -1,7 +1,8 @@
 #include "server/cluster.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+
+#include "sketch/sketch_kernel.hpp"
 
 namespace eyw::server {
 
@@ -69,26 +70,20 @@ RoundResult BackendCluster::finalize_round(util::ThreadPool* pool) {
         "finalize_round: missing clients but not all adjustments received");
   }
 
-  // Per-shard blinded partial sums, fanned across the pool; each shard
-  // writes only its own slot.
-  std::vector<std::vector<crypto::BlindCell>> partials(shards_.size());
-  pool->parallel_for(shards_.size(), [&](std::size_t s) {
-    partials[s] = shards_[s]->partial_aggregate();
-  });
-
-  // Merge: wrapping u32 addition is commutative and associative, so the
-  // shard-order sum is bit-identical to the single-server participant-order
-  // sum of the same reports.
-  std::vector<crypto::BlindCell> aggregate_cells(config_.cms_params.cells(),
-                                                 0);
-  for (const auto& partial : partials) {
-    for (std::size_t m = 0; m < aggregate_cells.size(); ++m)
-      aggregate_cells[m] += partial[m];
-  }
-
-  last_result_ = finalize_from_cells(config_, aggregate_cells, reports,
+  last_result_ = finalize_from_cells(config_, merged_cells(), reports,
                                      roster_size_, *pool);
   return *last_result_;
+}
+
+std::vector<crypto::BlindCell> BackendCluster::merged_cells() const {
+  // Wrapping u32 addition is commutative and associative, so the
+  // shard-order sum of the running partial sums is bit-identical to the
+  // single-server participant-order sum of the same reports.
+  std::vector<crypto::BlindCell> cells(config_.cms_params.cells(), 0);
+  for (const auto& shard : shards_)
+    sketch::active_sketch_kernel().add_cells(
+        cells.data(), shard->partial_aggregate().data(), cells.size());
+  return cells;
 }
 
 RoundSnapshot BackendCluster::snapshot_round() const {
@@ -97,20 +92,16 @@ RoundSnapshot BackendCluster::snapshot_round() const {
   merged.roster = roster_size_;
   merged.bytes_received = bytes_received();
   merged.params = config_.cms_params;
-  merged.base_cells.assign(config_.cms_params.cells(), 0);
-  for (const auto& shard : shards_) {
-    const RoundSnapshot part = shard->snapshot_round();
-    for (std::size_t m = 0; m < merged.base_cells.size(); ++m)
-      merged.base_cells[m] += part.base_cells[m];
-    merged.reporters.insert(merged.reporters.end(), part.reporters.begin(),
-                            part.reporters.end());
-    merged.adjusters.insert(merged.adjusters.end(), part.adjusters.begin(),
-                            part.adjusters.end());
+  merged.base_cells = merged_cells();
+  // One pass over the roster, each index answered by its routed shard,
+  // yields the global lists already sorted.
+  for (std::size_t p = 0; p < roster_size_; ++p) {
+    const BackendServer& owner = *shards_[shard_for(p)];
+    if (owner.has_report(p))
+      merged.reporters.push_back(static_cast<std::uint32_t>(p));
+    if (owner.has_adjustment(p))
+      merged.adjusters.push_back(static_cast<std::uint32_t>(p));
   }
-  // Shards own disjoint participants, so the union is a merge of disjoint
-  // sorted sets; one sort restores the global order.
-  std::sort(merged.reporters.begin(), merged.reporters.end());
-  std::sort(merged.adjusters.begin(), merged.adjusters.end());
   return merged;
 }
 
@@ -118,17 +109,7 @@ void BackendCluster::restore_round(const RoundSnapshot& snapshot) {
   // Refuse an inconsistent snapshot before any shard state changes (the
   // shards re-validate their own slices, but by then earlier shards were
   // already reset).
-  const auto sorted_unique = [](const std::vector<std::uint32_t>& v,
-                                std::size_t roster) {
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v[i] >= roster) return false;
-      if (i > 0 && v[i] <= v[i - 1]) return false;
-    }
-    return true;
-  };
-  if (!sorted_unique(snapshot.reporters, snapshot.roster) ||
-      !sorted_unique(snapshot.adjusters, snapshot.roster))
-    throw std::invalid_argument("restore_round: bad membership sets");
+  check_membership_sets(snapshot);
 
   std::vector<RoundSnapshot> parts(shards_.size());
   for (std::size_t s = 0; s < parts.size(); ++s) {

@@ -4,14 +4,14 @@
 //
 // What shards and how:
 //   * Ingestion — every report/adjustment is routed to exactly one shard
-//     (shard_for(participant)), so each shard holds the blinded partial sum
-//     of its own submissions. Blinded cells only cancel in the *global*
-//     sum, so per-shard state is meaningless ciphertext on its own — a nice
-//     property: compromising one shard reveals nothing.
-//   * Finalization — partial sums are computed per shard in parallel and
-//     merged cell-wise (wrapping u32 addition is commutative, so the merge
-//     equals the single-server sum bit for bit), then the ad-id space scan
-//     fans across the pool exactly like the single-server path.
+//     (shard_for(participant)), and each shard folds it into its running
+//     blinded partial sum on arrival. Blinded cells only cancel in the
+//     *global* sum, so per-shard state is meaningless ciphertext on its
+//     own — a nice property: compromising one shard reveals nothing.
+//   * Finalization — the shards' partial sums are merged cell-wise
+//     (wrapping u32 addition is commutative, so the merge equals the
+//     single-server sum bit for bit), then the ad-id space scan fans
+//     across the pool exactly like the single-server path.
 // The result is byte-identical to one BackendServer fed the same reports —
 // asserted in tests/server/test_sharded_backend.cpp.
 #pragma once
@@ -64,8 +64,8 @@ class BackendCluster final : public RoundBackend {
   void submit_adjustment(std::size_t participant_index,
                          std::vector<crypto::BlindCell> adjustment) override;
 
-  /// Merge shard partial aggregates (fanned across `pool`), unblind, scan
-  /// the id space, and derive the distribution + Users_th.
+  /// Merge shard partial aggregates, unblind, scan the id space (fanned
+  /// across `pool`), and derive the distribution + Users_th.
   [[nodiscard]] RoundResult finalize_round(
       util::ThreadPool* pool = nullptr) override;
 
@@ -89,9 +89,12 @@ class BackendCluster final : public RoundBackend {
   [[nodiscard]] std::size_t bytes_received() const noexcept;
 
  private:
+  /// The shards' running partial sums added cell-wise.
+  [[nodiscard]] std::vector<crypto::BlindCell> merged_cells() const;
+
   BackendConfig config_;
-  // unique_ptr: BackendServer is neither copyable nor movable (map members
-  // are fine, but RoundBackend is polymorphic) and vector needs relocation.
+  // unique_ptr: BackendServer is polymorphic (RoundBackend), so neither
+  // copyable nor movable, and vector needs relocation.
   std::vector<std::unique_ptr<BackendServer>> shards_;
   std::uint64_t round_ = 0;
   std::size_t roster_size_ = 0;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "server/backend.hpp"
 #include "server/database.hpp"
 #include "server/round.hpp"
@@ -106,6 +111,46 @@ TEST(Backend, BytesReceivedAccounting) {
   b.begin_round(0, 2);
   b.submit_report(0, std::vector<crypto::BlindCell>(kParams.cells()));
   EXPECT_EQ(b.bytes_received(), kParams.bytes());
+}
+
+TEST(Backend, RestoreRefusesRepeatedOrUnsortedMembership) {
+  BackendServer b(backend_config());
+  RoundSnapshot snap{.round = 1,
+                     .roster = 4,
+                     .params = kParams,
+                     .base_cells = {},
+                     .reporters = {1, 3},
+                     .adjusters = {3, 3}};
+  // A repeated adjuster would be counted twice and could pass finalize's
+  // "all adjustments received" guard.
+  EXPECT_THROW(b.restore_round(snap), std::invalid_argument);
+  snap.adjusters = {3, 1};
+  EXPECT_THROW(b.restore_round(snap), std::invalid_argument);
+  snap.adjusters = {1, 3};
+  b.restore_round(snap);
+  EXPECT_EQ(b.adjustments_received(), 2u);
+}
+
+TEST(Backend, RetainedRoundStateIsCellsPlusRoster) {
+  // Submissions are folded into one running sum on arrival, so the round
+  // holds O(cells + roster) bytes however many reports it accepted — not
+  // one 4 KB vector per reporter (~17 MB here).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's own malloc for mallinfo2";
+#else
+  constexpr std::size_t kReporters = 4096;
+  const sketch::CmsParams params{.depth = 4, .width = 256};
+  BackendServer b({.cms_params = params, .cms_hash_seed = 5, .id_space = 500});
+  b.begin_round(0, kReporters);
+  const std::size_t before = mallinfo2().uordblks;
+  for (std::size_t p = 0; p < kReporters; ++p)
+    b.submit_report(p, std::vector<crypto::BlindCell>(params.cells(), 1));
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_EQ(b.reports_received(), kReporters);
+  EXPECT_LT(after - std::min(after, before), std::size_t{1} << 20)
+      << "round state grew from " << before << " to " << after << " bytes";
+#endif
 }
 
 TEST(Database, UserRegistry) {

@@ -5,10 +5,17 @@
 // fault-tolerance bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <string_view>
+
 #include "proto/message.hpp"
 #include "server/cluster.hpp"
 #include "server/endpoint.hpp"
 #include "server/round.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace eyw::server {
 namespace {
@@ -139,6 +146,149 @@ TEST(BackendCluster, RejectsOutOfRosterAndDuplicates) {
   EXPECT_THROW(cluster.submit_adjustment(
                    0, std::vector<crypto::BlindCell>(kParams.cells())),
                std::invalid_argument);
+}
+
+// One accepted submission of the arrival-order sweep below.
+struct Arrival {
+  std::size_t participant;
+  bool adjustment;
+};
+
+void submit(RoundBackend& backend, const Arrival& a,
+            const std::vector<std::vector<crypto::BlindCell>>& reports,
+            const std::vector<std::vector<crypto::BlindCell>>& adjustments) {
+  if (a.adjustment)
+    backend.submit_adjustment(a.participant, adjustments[a.participant]);
+  else
+    backend.submit_report(a.participant, reports[a.participant]);
+}
+
+TEST(RunningSum, ArrivalOrderAndRestorePointNeverChangeTheRound) {
+  // Folding each submission into a running sum on arrival, and splitting a
+  // round across snapshot + restore at any point, must equal an oracle
+  // that sums every report in participant order and then subtracts every
+  // adjustment — for the single server and for 2- and 3-shard clusters.
+  constexpr std::size_t kRoster = 64;
+  constexpr std::uint64_t kRound = 9;
+  const BackendConfig config = backend_config();
+  const std::vector<std::function<std::unique_ptr<RoundBackend>()>> makers{
+      [&] { return std::make_unique<BackendServer>(config); },
+      [&] { return std::make_unique<BackendCluster>(config, 2); },
+      [&] { return std::make_unique<BackendCluster>(config, 3); },
+  };
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Rng rng(seed);
+    std::vector<bool> reports_in(kRoster, true);
+    for (const std::size_t p : rng.sample_indices(kRoster, 16))
+      reports_in[p] = false;
+    std::vector<std::vector<crypto::BlindCell>> reports(kRoster);
+    std::vector<std::vector<crypto::BlindCell>> adjustments(kRoster);
+    std::vector<Arrival> arrivals;
+    for (std::size_t p = 0; p < kRoster; ++p) {
+      if (!reports_in[p]) continue;
+      for (auto* cells : {&reports[p], &adjustments[p]}) {
+        cells->resize(kParams.cells());
+        for (auto& c : *cells) c = static_cast<crypto::BlindCell>(rng.next());
+      }
+      arrivals.push_back({p, false});
+    }
+    // Reports arrive shuffled; adjustments (which need their reporter's
+    // report first) arrive shuffled after them.
+    rng.shuffle(arrivals);
+    std::vector<Arrival> adjusting = arrivals;
+    for (auto& a : adjusting) a.adjustment = true;
+    rng.shuffle(adjusting);
+    arrivals.insert(arrivals.end(), adjusting.begin(), adjusting.end());
+
+    // The oracle state after the first k arrivals.
+    const auto oracle = [&](std::size_t k) {
+      std::vector<bool> reported(kRoster, false), adjusted(kRoster, false);
+      for (std::size_t i = 0; i < k; ++i)
+        (arrivals[i].adjustment ? adjusted : reported)[arrivals[i].participant] =
+            true;
+      RoundSnapshot snap;
+      snap.base_cells.assign(kParams.cells(), 0);
+      for (std::size_t p = 0; p < kRoster; ++p) {
+        if (!reported[p]) continue;
+        snap.reporters.push_back(static_cast<std::uint32_t>(p));
+        for (std::size_t m = 0; m < kParams.cells(); ++m)
+          snap.base_cells[m] += reports[p][m];
+      }
+      for (std::size_t p = 0; p < kRoster; ++p) {
+        if (!adjusted[p]) continue;
+        snap.adjusters.push_back(static_cast<std::uint32_t>(p));
+        for (std::size_t m = 0; m < kParams.cells(); ++m)
+          snap.base_cells[m] -= adjustments[p][m];
+      }
+      return snap;
+    };
+    const auto missing_of = [&](const RoundSnapshot& snap) {
+      std::vector<std::size_t> missing;
+      for (std::size_t p = 0, r = 0; p < kRoster; ++p) {
+        if (r < snap.reporters.size() && snap.reporters[r] == p)
+          ++r;
+        else
+          missing.push_back(p);
+      }
+      return missing;
+    };
+    const RoundSnapshot full = oracle(arrivals.size());
+    util::ThreadPool pool(1);
+    const RoundResult expected = finalize_from_cells(
+        config, full.base_cells, full.reporters.size(), kRoster, pool);
+
+    const auto expect_duplicate = [&](RoundBackend& backend, const Arrival& a) {
+      try {
+        submit(backend, a, reports, adjustments);
+        ADD_FAILURE() << "resubmission of " << a.participant << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string_view(e.what()).find("duplicate"),
+                  std::string_view::npos)
+            << e.what();
+      }
+    };
+
+    for (std::size_t b = 0; b < makers.size(); ++b) {
+      for (std::size_t k = 0; k <= arrivals.size(); ++k) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " backend " << b << " k " << k);
+        const auto before = makers[b]();
+        before->begin_round(kRound, kRoster);
+        for (std::size_t i = 0; i < k; ++i)
+          submit(*before, arrivals[i], reports, adjustments);
+        const RoundSnapshot snap = before->snapshot_round();
+        const RoundSnapshot want = oracle(k);
+        ASSERT_EQ(snap.base_cells, want.base_cells);
+        ASSERT_EQ(snap.reporters, want.reporters);
+        ASSERT_EQ(snap.adjusters, want.adjusters);
+        ASSERT_EQ(before->missing_participants(), missing_of(want));
+
+        const auto after = makers[b]();
+        after->restore_round(snap);
+        for (std::size_t i = k; i < arrivals.size(); ++i)
+          submit(*after, arrivals[i], reports, adjustments);
+        // Resubmissions from either side of the restore point, of both
+        // kinds, are replays.
+        for (const std::size_t i :
+             {std::size_t{0}, arrivals.size() - 1, k == 0 ? 0 : k - 1,
+              k == arrivals.size() ? k - 1 : k})
+          expect_duplicate(*after, arrivals[i]);
+
+        const RoundSnapshot end = after->snapshot_round();
+        ASSERT_EQ(end.base_cells, full.base_cells);
+        ASSERT_EQ(end.reporters, full.reporters);
+        ASSERT_EQ(end.adjusters, full.adjusters);
+        ASSERT_EQ(after->missing_participants(), missing_of(full));
+        const RoundResult got = after->finalize_round(&pool);
+        ASSERT_TRUE(std::ranges::equal(got.aggregate.cells(),
+                                       expected.aggregate.cells()));
+        ASSERT_EQ(got.distribution.histogram(),
+                  expected.distribution.histogram());
+        ASSERT_EQ(got.users_threshold, expected.users_threshold);
+      }
+    }
+  }
 }
 
 TEST(ShardedSubmit, FrontDoorAcceptsCorrectlyRoutedFramesOnly) {
