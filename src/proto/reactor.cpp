@@ -1,5 +1,6 @@
 #include "proto/reactor.hpp"
 
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -46,7 +47,10 @@ Reactor::~Reactor() {
 
 void Reactor::start() {
   wheel_epoch_ = std::chrono::steady_clock::now();
-  thread_ = std::thread([this] { loop(); });
+  thread_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "eyw-reactor");
+    loop();
+  });
 }
 
 void Reactor::stop() {

@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -468,7 +469,10 @@ struct FrameServer::Impl {
       shard->reactor.start();
       shards.push_back(std::move(shard));
     }
-    acceptor = std::thread([this] { accept_loop(); });
+    acceptor = std::thread([this] {
+      pthread_setname_np(pthread_self(), "eyw-accept");
+      accept_loop();
+    });
   }
 
   void stop() {

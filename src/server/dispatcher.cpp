@@ -1,5 +1,7 @@
 #include "server/dispatcher.hpp"
 
+#include <pthread.h>
+
 #include <stdexcept>
 #include <utility>
 
@@ -29,7 +31,10 @@ AsyncDispatcher::AsyncDispatcher(proto::FrameHandler handler,
   for (std::size_t i = 0; i < lanes; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
     Lane* lane = lanes_.back().get();
-    lane->worker = std::thread([this, lane] { worker_loop(*lane); });
+    lane->worker = std::thread([this, lane] {
+      pthread_setname_np(pthread_self(), "eyw-lane");
+      worker_loop(*lane);
+    });
   }
 }
 

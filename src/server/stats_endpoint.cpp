@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -98,7 +99,10 @@ StatsEndpoint::StatsEndpoint(StatsRegistry registry, std::uint16_t port,
     throw std::runtime_error("StatsEndpoint: getsockname failed");
   }
   port_ = ntohs(addr.sin_port);
-  thread_ = std::thread([this] { serve_loop(); });
+  thread_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "eyw-stats");
+    serve_loop();
+  });
 }
 
 StatsEndpoint::~StatsEndpoint() { stop(); }

@@ -1,5 +1,7 @@
 #include "storage/durability_queue.hpp"
 
+#include <pthread.h>
+
 #include <utility>
 
 #include "storage/checkpoint.hpp"
@@ -12,6 +14,7 @@ DurabilityQueue::DurabilityQueue(std::unique_ptr<Journal> journal,
   next_index_ = journal_->next_index();
   durable_index_ = next_index_;  // everything already on disk is durable
   writer_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "eyw-journal");
     journal_->bind_io_thread(std::this_thread::get_id());
     writer_loop();
   });
@@ -55,7 +58,11 @@ std::uint64_t DurabilityQueue::enqueue_record(
   queued_bytes_ += payload.size();
   queue_.push_back({std::move(payload), 0, false});
   ++enqueued_seq_;
-  work_cv_.notify_one();
+  // An idle writer needs the first job; a writer holding a window needs
+  // only the record that fills the queue to half its bound. The records
+  // in between ride the window without a wakeup each.
+  if (window_open_ ? half_full_locked() : queue_.size() == 1)
+    work_cv_.notify_one();
   return next_index_++;
 }
 
@@ -67,6 +74,7 @@ void DurabilityQueue::enqueue_checkpoint(std::vector<std::uint8_t> encoded,
   // and there is at most one outstanding per protocol phase.
   queue_.push_back({std::move(encoded), covers_next, true});
   ++enqueued_seq_;
+  checkpoint_queued_ = true;  // closes an open window
   work_cv_.notify_one();
 }
 
@@ -108,6 +116,11 @@ DurabilityStats DurabilityQueue::stats() const {
   return out;
 }
 
+bool DurabilityQueue::half_full_locked() const noexcept {
+  return 2 * queue_.size() >= options_.max_pending_records ||
+         2 * queued_bytes_ >= options_.max_pending_bytes;
+}
+
 void DurabilityQueue::fail_locked(std::exception_ptr err) {
   if (!error_) error_ = std::move(err);
   room_cv_.notify_all();
@@ -115,105 +128,85 @@ void DurabilityQueue::fail_locked(std::exception_ptr err) {
 }
 
 void DurabilityQueue::writer_loop() {
-  using Clock = std::chrono::steady_clock;
-  // Commit-window state carried across drain cycles: records append the
-  // moment they arrive, but their fdatasync is held open up to
-  // max_commit_delay while nobody is blocked on durability — trickling
-  // submissions then share one commit instead of paying one fsync each.
-  // A waiter, a checkpoint in the stream, or shutdown commits at once.
-  bool pending_sync = false;       // appended records not yet synced
-  std::uint64_t unsynced_jobs = 0; // record jobs awaiting that sync
-  std::uint64_t appended_through = 0;  // 1 + last appended index
-  std::uint64_t synced_through = 0;    // 1 + last SYNCED index
-  Clock::time_point window_ends{};     // valid while pending_sync
   for (;;) {
     std::deque<Job> batch;
-    bool commit_now = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      const auto wake = [&] {
-        return stopping_ || !queue_.empty() ||
-               (pending_sync && waiters_ > 0);
-      };
-      if (pending_sync)
-        work_cv_.wait_until(lock, window_ends, wake);
-      else
-        work_cv_.wait(lock, wake);
-      if (queue_.empty() && stopping_ && !pending_sync) return;
-      // Group commit: take everything queued so far in one swap — the
-      // ingest threads immediately see a drained queue (backpressure
-      // released) while the whole batch shares the fdatasync below.
+      work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, nothing left to commit
+      // The commit window: let records accumulate until someone needs
+      // durability now, the queue nears its bound, or the delay runs out.
+      window_open_ = true;
+      work_cv_.wait_for(lock, options_.max_commit_delay, [&] {
+        return stopping_ || waiters_ > 0 || checkpoint_queued_ ||
+               half_full_locked();
+      });
+      window_open_ = false;
+      // Take the whole window in one swap — the ingest threads
+      // immediately see a drained queue (backpressure released).
       batch.swap(queue_);
       queued_bytes_ = 0;
+      checkpoint_queued_ = false;
       room_cv_.notify_all();
-      commit_now = stopping_ || waiters_ > 0;
     }
 
-    std::uint64_t publish = 0;  // jobs whose durability this cycle proves
-    std::uint64_t batch_records = 0;
-    std::uint64_t batch_bytes = 0;
-    std::uint64_t installed_checkpoints = 0;
-    std::uint64_t batch_fsyncs = 0;
+    std::uint64_t publish = 0;          // jobs this cycle proved durable
+    std::uint64_t durable_through = 0;  // 1 + last synced record index
+    std::uint64_t records = 0;
+    std::uint64_t record_bytes = 0;
+    std::uint64_t fsyncs = 0;
+    std::uint64_t checkpoints = 0;
+    std::vector<std::span<const std::uint8_t>> run;
+    // Append the records gathered since the last checkpoint and share
+    // one fdatasync across them.
+    const auto commit_run = [&] {
+      if (run.empty()) return;
+      journal_->append(run);
+      journal_->sync();
+      ++fsyncs;
+      publish += run.size();
+      durable_through = journal_->next_index();
+      run.clear();
+    };
     try {
       for (const Job& job : batch) {
         if (!job.is_checkpoint) {
-          const std::uint64_t idx = journal_->append(job.bytes);
-          appended_through = idx + 1;
-          ++batch_records;
-          batch_bytes += job.bytes.size();
-          if (!pending_sync) {
-            pending_sync = true;
-            window_ends = Clock::now() + options_.max_commit_delay;
-          }
-          ++unsynced_jobs;
+          run.emplace_back(job.bytes);
+          ++records;
+          record_bytes += job.bytes.size();
           continue;
         }
         // Order inside the stream is the order callers enqueued: sync the
         // records in front of this checkpoint first, so an installed
         // checkpoint never covers un-fsynced records.
-        if (pending_sync) {
-          journal_->sync();
-          ++batch_fsyncs;
-          pending_sync = false;
-          synced_through = appended_through;
-          publish += unsynced_jobs;
-          unsynced_jobs = 0;
-        }
+        commit_run();
         write_checkpoint_file(journal_->dir(), job.bytes);
         journal_->truncate_through(job.covers_next);
-        ++installed_checkpoints;
+        ++checkpoints;
         ++publish;
       }
-      if (pending_sync &&
-          (commit_now || Clock::now() >= window_ends)) {
-        journal_->sync();
-        ++batch_fsyncs;
-        pending_sync = false;
-        synced_through = appended_through;
-        publish += unsynced_jobs;
-        unsynced_jobs = 0;
-      }
+      commit_run();
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
       // Jobs proven durable before the failure still count; the failing
       // job and everything after it surface the latched error.
       completed_seq_ += publish;
-      if (synced_through > durable_index_) durable_index_ = synced_through;
-      stats_.fsyncs += batch_fsyncs;
-      stats_.checkpoints += installed_checkpoints;
+      if (durable_through > durable_index_) durable_index_ = durable_through;
+      stats_.fsyncs += fsyncs;
+      stats_.checkpoints += checkpoints;
       fail_locked(std::current_exception());
       return;
     }
 
     std::lock_guard<std::mutex> lock(mu_);
     completed_seq_ += publish;
-    if (synced_through > durable_index_) durable_index_ = synced_through;
-    if (batch_records > 0) ++stats_.batches;
-    stats_.records += batch_records;
-    stats_.record_bytes += batch_bytes;
-    stats_.fsyncs += batch_fsyncs;
-    stats_.checkpoints += installed_checkpoints;
-    if (publish > 0) durable_cv_.notify_all();
+    if (durable_through > durable_index_) durable_index_ = durable_through;
+    if (records > 0) ++stats_.batches;
+    stats_.records += records;
+    stats_.record_bytes += record_bytes;
+    stats_.fsyncs += fsyncs;
+    stats_.checkpoints += checkpoints;
+    durable_cv_.notify_all();
   }
 }
 

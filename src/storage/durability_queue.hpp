@@ -5,14 +5,23 @@
 // enqueue_record() with an already-canonical frame — an O(1) push under a
 // mutex, bounded by max_pending_records/bytes so a dying disk exerts
 // backpressure instead of unbounded memory growth. One writer thread owns
-// the Journal and does ALL file I/O: it drains the whole queue in one
-// swap (group commit), appends every drained record, and shares one
-// fdatasync across the batch. While no caller is blocked on durability
-// the commit stays open up to max_commit_delay, so records that trickle
-// in one at a time still share a commit; under burst load N submissions
-// amortize to one fsync outright. Either way durability stays off the
-// reactor hot path, and the journal's off-thread counter (bound to the
-// writer at start) proves the invariant mechanically.
+// the Journal and does ALL file I/O, one commit window at a time (group
+// commit):
+//   1. The first job queued while no window is open wakes the writer,
+//      which opens a window and sleeps again. Records enqueued inside the
+//      window do not wake it.
+//   2. The window closes on the first of: a caller blocked in flush() or
+//      wait_durable(), a queued checkpoint, shutdown, the queue reaching
+//      half of max_pending_records or max_pending_bytes, or
+//      max_commit_delay after it opened.
+//   3. The writer swaps the whole queue out, appends each run of records
+//      between checkpoints with one Journal::append (one writev per
+//      segment-sized stretch), shares one fdatasync across the run, and
+//      publishes the window durable.
+// No commit state survives a cycle: every window ends with everything it
+// took synced. Durability stays off the reactor hot path, and the
+// journal's off-thread counter (bound to the writer at start) proves the
+// invariant mechanically.
 //
 // Checkpoints ride the same queue as a job kind: because the writer
 // processes jobs strictly in order and syncs appended records before
@@ -48,13 +57,17 @@ struct DurabilityOptions {
   /// drain instead of blocking forever.
   std::size_t max_pending_records = 4096;
   std::size_t max_pending_bytes = std::size_t{32} << 20;
-  /// Group-commit window: with records appended but nobody blocked on
-  /// durability, the writer holds the fdatasync open this long so
-  /// trickling submissions share one commit instead of paying one fsync
-  /// each. A waiter (flush/wait_durable), a checkpoint, or shutdown
+  /// Group-commit window: once a job is queued and nobody is blocked on
+  /// durability, the writer lets records accumulate this long before it
+  /// appends them in one writev and shares one fdatasync, so trickling
+  /// submissions share one commit instead of paying one wakeup, write
+  /// and fsync each. A waiter (flush/wait_durable), a checkpoint,
+  /// shutdown, or the queue reaching half of either pending bound
   /// commits immediately — the window only ever delays durability of
   /// records whose acks made no durability promise yet (batch mode), and
-  /// bounds that staleness.
+  /// bounds that staleness. Such a record is durable once its window
+  /// commits, at the latest at the next barrier flush; until then it sits
+  /// in the queue, so a kill -9 loses it just as a power loss would.
   std::chrono::milliseconds max_commit_delay{10};
 };
 
@@ -119,6 +132,8 @@ class DurabilityQueue {
   };
 
   void writer_loop();
+  /// The queue holds half of either backpressure bound.
+  [[nodiscard]] bool half_full_locked() const noexcept;
   void fail_locked(std::exception_ptr err);
   void rethrow_if_failed_locked() const;
 
@@ -136,6 +151,8 @@ class DurabilityQueue {
   std::uint64_t enqueued_seq_ = 0;       // jobs accepted
   std::uint64_t completed_seq_ = 0;      // jobs made durable
   std::size_t waiters_ = 0;              // threads blocked in flush/wait
+  bool window_open_ = false;             // writer is holding a window
+  bool checkpoint_queued_ = false;       // queue_ holds a checkpoint
   bool stopping_ = false;
   std::exception_ptr error_;
   DurabilityStats stats_;

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -236,26 +237,50 @@ void Journal::sync_and_retire_segment() {
   close_segment();
 }
 
-std::uint64_t Journal::append(std::span<const std::uint8_t> payload) {
+std::uint64_t Journal::append(
+    std::span<const std::span<const std::uint8_t>> run) {
   note_io_thread();
-  if (payload.empty())
-    throw std::invalid_argument("journal: empty record");
-  if (payload.size() > options_.max_record_bytes)
-    throw std::invalid_argument("journal: record above cap");
-  if (fd_ >= 0 && tail_bytes_ >= options_.segment_bytes)
-    sync_and_retire_segment();
-  if (fd_ < 0) start_segment(next_index_);
+  const auto refusal = [&](std::span<const std::uint8_t> payload) {
+    return payload.empty()                               ? "empty record"
+           : payload.size() > options_.max_record_bytes ? "record above cap"
+                                                         : nullptr;
+  };
+  const std::uint64_t first = next_index_;
+  std::uint8_t headers[kRunRecordsPerWrite][kRecordHeaderBytes];
+  struct iovec iov[2 * kRunRecordsPerWrite];
+  std::size_t i = 0;
+  while (i < run.size()) {
+    if (const char* why = refusal(run[i]))
+      throw std::invalid_argument(std::string("journal: ") + why);
+    if (fd_ >= 0 && tail_bytes_ >= options_.segment_bytes)
+      sync_and_retire_segment();
+    if (fd_ < 0) start_segment(next_index_);
 
-  std::uint8_t header[kRecordHeaderBytes];
-  put_u32(header, static_cast<std::uint32_t>(payload.size()));
-  put_u32(header + 4, util::crc32(payload));
-  // Two writes: a crash between them leaves a header-without-payload tail
-  // that parse_records drops as torn — same outcome as a crash mid-write.
-  if (!util::full_write(fd_, header) || !util::full_write(fd_, payload))
-    io_fail("append to " + dir_);
-  tail_bytes_ += kRecordHeaderBytes + payload.size();
-  bytes_appended_ += payload.size();
-  return next_index_++;
+    // Gather records while the segment is below its rotation size — the
+    // point where one-at-a-time appends would rotate ends the writev.
+    std::size_t n = 0;
+    std::size_t bytes = 0;
+    do {
+      const std::span<const std::uint8_t> payload = run[i + n];
+      put_u32(headers[n], static_cast<std::uint32_t>(payload.size()));
+      put_u32(headers[n] + 4, util::crc32(payload));
+      iov[2 * n] = {headers[n], kRecordHeaderBytes};
+      iov[2 * n + 1] = {const_cast<std::uint8_t*>(payload.data()),
+                        payload.size()};
+      bytes += kRecordHeaderBytes + payload.size();
+      ++n;
+    } while (i + n < run.size() && n < kRunRecordsPerWrite &&
+             tail_bytes_ + bytes < options_.segment_bytes &&
+             refusal(run[i + n]) == nullptr);
+    // A crash mid-writev leaves a prefix of the gathered records, the
+    // last possibly torn — parse_records drops a torn tail either way.
+    if (!util::full_writev(fd_, {iov, 2 * n})) io_fail("append to " + dir_);
+    tail_bytes_ += bytes;
+    bytes_appended_ += bytes - n * kRecordHeaderBytes;
+    next_index_ += n;
+    i += n;
+  }
+  return first;
 }
 
 void Journal::sync() {

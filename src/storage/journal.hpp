@@ -36,6 +36,7 @@
 #pragma once
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -49,6 +50,8 @@ inline constexpr std::uint32_t kJournalMagic = 0x4A575945;  // "EYWJ"
 inline constexpr std::uint16_t kJournalVersion = 1;
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
 inline constexpr std::size_t kRecordHeaderBytes = 8;
+/// Records per writev: each takes two iovecs (header, payload).
+inline constexpr std::size_t kRunRecordsPerWrite = IOV_MAX / 2;
 
 struct JournalOptions {
   /// Rotate to a fresh segment once the current one reaches this size.
@@ -79,10 +82,19 @@ class Journal {
     return next_index_;
   }
 
-  /// Append one record; returns its index. Rotates segments as needed.
-  /// No durability — call sync(). Throws std::runtime_error on I/O
-  /// failure and std::invalid_argument on an empty/oversized payload.
-  std::uint64_t append(std::span<const std::uint8_t> payload);
+  /// Append one record per payload, in order; returns the first one's
+  /// index. Each stretch of the run that fits the current segment goes
+  /// out in one writev (at most kRunRecordsPerWrite records per call),
+  /// with the same records, bytes and rotation points as appending the
+  /// payloads one at a time. No durability — call sync(). Throws
+  /// std::runtime_error on I/O failure and std::invalid_argument on an
+  /// empty/oversized payload, after the records before it have landed.
+  std::uint64_t append(std::span<const std::span<const std::uint8_t>> run);
+
+  /// Append one record; returns its index. The one-element run.
+  std::uint64_t append(std::span<const std::uint8_t> payload) {
+    return append({&payload, 1});
+  }
 
   /// fdatasync the segment holding the records appended so far. Throws
   /// std::runtime_error on failure (see util/file_io.hpp on why a failed

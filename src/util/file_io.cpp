@@ -1,9 +1,12 @@
 #include "util/file_io.hpp"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 
 namespace eyw::util {
 
@@ -16,6 +19,30 @@ bool full_write(int fd, std::span<const std::uint8_t> bytes) noexcept {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool full_writev(int fd, std::span<struct iovec> iov) noexcept {
+  std::size_t first = 0;  // first entry with bytes left
+  for (;;) {
+    while (first < iov.size() && iov[first].iov_len == 0) ++first;
+    if (first == iov.size()) return true;
+    const auto count = static_cast<int>(
+        std::min<std::size_t>(iov.size() - first, IOV_MAX));
+    const ssize_t n = ::writev(fd, iov.data() + first, count);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    // Consume what the kernel took: whole entries, then a prefix of the
+    // entry the write stopped inside.
+    auto left = static_cast<std::size_t>(n);
+    for (; first < iov.size() && left >= iov[first].iov_len; ++first) {
+      left -= iov[first].iov_len;
+      iov[first].iov_len = 0;
+    }
+    if (left > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + left;
+      iov[first].iov_len -= left;
+    }
+  }
 }
 
 std::ptrdiff_t full_read(int fd, std::uint8_t* out, std::size_t size) noexcept {

@@ -6,7 +6,9 @@
 // *failing* call, so a stale EINTR from an earlier syscall must never
 // turn a zero-progress return into a spin. A write(2) returning 0 is
 // treated as an error (no progress on a regular file means something is
-// deeply wrong); a read(2) returning 0 is EOF and ends the loop.
+// deeply wrong); a read(2) returning 0 is EOF and ends the loop. A short
+// write(2)/writev(2) — a signal, a file-size limit, a full disk — is
+// resumed from the first byte it did not write.
 //
 // fsync helpers restart on EINTR too; note that after fsync fails the
 // kernel may have already dropped the dirty pages (the famous
@@ -19,11 +21,20 @@
 #include <span>
 #include <string>
 
+struct iovec;
+
 namespace eyw::util {
 
 /// Write all of `bytes` at the fd's current offset. False on any error
 /// (errno left from the failing call).
 [[nodiscard]] bool full_write(int fd, std::span<const std::uint8_t> bytes) noexcept;
+
+/// Gathered full_write: all bytes of `iov`, in order, at most IOV_MAX
+/// entries per writev(2). `iov` is consumed — on return it describes the
+/// bytes not yet written (empty entries on success), so a short write
+/// resumes mid-entry. False on any error (errno left from the failing
+/// call).
+[[nodiscard]] bool full_writev(int fd, std::span<struct iovec> iov) noexcept;
 
 /// Read up to `size` bytes into `out`, looping until `size` bytes or EOF.
 /// Returns bytes read (< size means EOF), or -1 on error.

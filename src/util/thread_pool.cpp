@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -51,7 +53,10 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   workers_.reserve(threads - 1);
   for (std::size_t i = 0; i + 1 < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] {
+      pthread_setname_np(pthread_self(), "eyw-pool");
+      worker_loop();
+    });
   }
 }
 

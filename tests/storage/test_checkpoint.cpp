@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,38 @@ void expect_equal(const CheckpointData& want, const CheckpointData& got) {
 TEST(Checkpoint, EncodeDecodeRoundtrip) {
   const CheckpointData data = sample_data();
   expect_equal(data, decode_checkpoint(encode_checkpoint(data)));
+}
+
+// A checkpoint as the byte-at-a-time CRC wrote it: round 7, roster 5,
+// reporters {0, 1, 3}, adjuster {1}, a 2x4 partial sum, journal_next 4.
+constexpr std::uint8_t kGoldenCheckpoint[] = {
+    0x45, 0x59, 0x57, 0x43, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2c, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x45, 0x59, 0x57, 0x53,
+    0x01, 0x00, 0x02, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x05, 0x00, 0x00, 0x00,
+    0x06, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x33, 0xf7, 0xc8, 0xa2};
+
+TEST(Checkpoint, GoldenBytesDecodeAndReencode) {
+  CheckpointData want;
+  want.snapshot.round = 7;
+  want.snapshot.roster = 5;
+  want.snapshot.bytes_received = 300;
+  want.snapshot.params = {.depth = 2, .width = 4};
+  want.snapshot.base_cells = {1, 0xFFFFFFFFu, 3, 0x80000000u, 5, 6, 7, 8};
+  want.snapshot.reporters = {0, 1, 3};
+  want.snapshot.adjusters = {1};
+  want.journal_next = 4;
+  expect_equal(want, decode_checkpoint(kGoldenCheckpoint));
+  EXPECT_EQ(encode_checkpoint(want),
+            std::vector<std::uint8_t>(std::begin(kGoldenCheckpoint),
+                                      std::end(kGoldenCheckpoint)));
 }
 
 TEST(Checkpoint, EmptyRoundRoundtrip) {

@@ -1,6 +1,7 @@
 // The write-ahead journal's on-disk contract: append/replay roundtrips,
 // segment rotation, torn-tail truncation on reopen, checkpoint-driven
-// truncation, index reservation, and the single-writer I/O invariant.
+// truncation, index reservation, the single-writer I/O invariant, and
+// run appends writing exactly the bytes one-at-a-time appends write.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -8,6 +9,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,7 +122,8 @@ TEST(Journal, IndexSurvivesReopen) {
 TEST(Journal, RefusesEmptyAndOversizedRecords) {
   TempDir tmp;
   Journal journal(tmp.path(), {.max_record_bytes = 64});
-  EXPECT_THROW(journal.append({}), std::invalid_argument);
+  EXPECT_THROW(journal.append(std::span<const std::uint8_t>{}),
+               std::invalid_argument);
   EXPECT_THROW(journal.append(payload_for(0, 65)), std::invalid_argument);
   EXPECT_EQ(journal.next_index(), 0u);  // refused appends consume nothing
   EXPECT_EQ(journal.append(payload_for(0, 64)), 0u);
@@ -322,6 +328,104 @@ TEST(Journal, OffThreadIoCounterCatchesForeignThreads) {
   std::thread intruder([&] { journal.append(payload_for(1, 8)); });
   intruder.join();
   EXPECT_EQ(journal.off_thread_io(), 1u);
+}
+
+/// Every segment file in `dir`, name -> bytes.
+std::map<std::string, std::vector<std::uint8_t>> segment_files(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".seg") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[entry.path().filename().string()] = {
+        std::istreambuf_iterator<char>(in), {}};
+  }
+  return out;
+}
+
+std::vector<std::vector<std::uint8_t>> replay_all(const Journal& journal) {
+  std::vector<std::vector<std::uint8_t>> out;
+  const auto stats = journal.replay(
+      0, [&](std::uint64_t index, std::span<const std::uint8_t> payload) {
+        EXPECT_EQ(index, out.size());
+        out.emplace_back(payload.begin(), payload.end());
+      });
+  EXPECT_TRUE(stats.clean);
+  EXPECT_EQ(stats.torn_bytes, 0u);
+  return out;
+}
+
+TEST(Journal, RunAppendIsByteIdenticalToOneAtATime) {
+  // Sizes 1..97 cycling, so rotation at 4 KiB lands mid-run at varying
+  // offsets; one run is longer than a single writev may carry.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::size_t i = 0; i < 3 * kRunRecordsPerWrite + 40; ++i)
+    payloads.push_back(payload_for(i, 1 + (i * 37) % 97));
+  const JournalOptions options{.segment_bytes = 4096};
+
+  TempDir singles;
+  {
+    Journal journal(singles.path(), options);
+    for (std::size_t i = 0; i < payloads.size(); ++i)
+      EXPECT_EQ(journal.append(payloads[i]), i);
+    journal.sync();
+  }
+  TempDir runs;
+  {
+    Journal journal(runs.path(), options);
+    const std::vector<std::span<const std::uint8_t>> all(payloads.begin(),
+                                                         payloads.end());
+    const std::span<const std::span<const std::uint8_t>> rest(all);
+    std::size_t at = 0;
+    for (const std::size_t len :
+         {std::size_t{1}, std::size_t{3}, std::size_t{0},
+          kRunRecordsPerWrite + 100, std::size_t{60}}) {
+      EXPECT_EQ(journal.append(rest.subspan(at, len)), at);
+      at += len;
+    }
+    EXPECT_EQ(journal.append(rest.subspan(at)), at);
+    EXPECT_EQ(journal.next_index(), payloads.size());
+    journal.sync();
+  }
+
+  const auto want = segment_files(singles.path());
+  EXPECT_GT(want.size(), 5u);
+  EXPECT_EQ(segment_files(runs.path()), want);
+  Journal reopened_singles(singles.path(), options);
+  Journal reopened_runs(runs.path(), options);
+  EXPECT_EQ(reopened_runs.next_index(), payloads.size());
+  const auto replayed = replay_all(reopened_runs);
+  EXPECT_EQ(replayed, replay_all(reopened_singles));
+  EXPECT_EQ(replayed, payloads);
+}
+
+TEST(Journal, InvalidRecordMidRunLandsThePrefixThenThrows) {
+  const std::vector<std::uint8_t> p0 = payload_for(0, 24);
+  const std::vector<std::uint8_t> p1 = payload_for(1, 40);
+  const std::vector<std::uint8_t> oversized = payload_for(2, 65);
+  const JournalOptions options{.segment_bytes = 64, .max_record_bytes = 64};
+
+  TempDir runs;
+  Journal journal(runs.path(), options);
+  const std::span<const std::uint8_t> with_empty[] = {p0, p1, {}, p0};
+  EXPECT_THROW(journal.append(with_empty), std::invalid_argument);
+  EXPECT_EQ(journal.next_index(), 2u);
+  const std::span<const std::uint8_t> with_oversized[] = {p1, oversized};
+  EXPECT_THROW(journal.append(with_oversized), std::invalid_argument);
+  EXPECT_EQ(journal.next_index(), 3u);
+  journal.sync();
+
+  TempDir singles;
+  {
+    Journal one(singles.path(), options);
+    one.append(p0);
+    one.append(p1);
+    one.append(p1);
+    one.sync();
+  }
+  EXPECT_EQ(segment_files(runs.path()), segment_files(singles.path()));
+  EXPECT_EQ(replay_all(journal),
+            (std::vector<std::vector<std::uint8_t>>{p0, p1, p1}));
 }
 
 }  // namespace
