@@ -2,9 +2,7 @@
 // the evaluation harnesses.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace eyw::util {
 
@@ -18,44 +16,9 @@ namespace eyw::util {
 /// Unbiased sample standard deviation (n-1 denominator); 0 for n < 2.
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
-/// Population variance (n denominator); 0 for an empty input.
-[[nodiscard]] double variance(std::span<const double> xs) noexcept;
-
-/// Linear-interpolation quantile, q in [0, 1]. Throws on empty input or
-/// out-of-range q.
-[[nodiscard]] double quantile(std::span<const double> xs, double q);
-
-[[nodiscard]] double min_value(std::span<const double> xs);
-[[nodiscard]] double max_value(std::span<const double> xs);
-
-/// Summary of a sample, computed in one pass over a sorted copy.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double median = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p25 = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-[[nodiscard]] Summary summarize(std::span<const double> xs);
-
 /// Pearson correlation coefficient; 0 if either side is constant.
 /// Sizes must match.
 [[nodiscard]] double pearson(std::span<const double> xs,
                              std::span<const double> ys);
-
-/// Convert any integral container to doubles (helper for counter vectors).
-template <typename Container>
-[[nodiscard]] std::vector<double> to_doubles(const Container& c) {
-  std::vector<double> out;
-  out.reserve(c.size());
-  for (const auto& v : c) out.push_back(static_cast<double>(v));
-  return out;
-}
 
 }  // namespace eyw::util
