@@ -6,7 +6,7 @@
 // `--json <path>` additionally writes the PR-over-PR trajectory rows:
 // scalar-vs-AVX2 ns/cell for the sketch kernels (merge, min-scan gather,
 // pad fold) and the measured heap allocations per accepted submission on
-// the ingest path, zero-copy vs the legacy decode-copy/re-encode chain.
+// the server's ingest path.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -205,12 +205,10 @@ void add_kernel_rows(bench::JsonWriter& writer) {
 /// Heap allocations per accepted submission across the full ingest chain
 /// (mux frame bytes off the wire -> strip -> decode -> durable submit ->
 /// ack), measured with the operator-new probe above. Reporters submit on
-/// multiplexed (version-2) connections, so both sides see v2 frames.
-/// `zero_copy` runs today's path: pooled frame buffer, in-place stream
-/// strip, span-based envelope view, wire-byte journal capture. Otherwise
-/// the pre-pool chain is replicated: fresh buffer per frame, copying
-/// strip, copying envelope decode, re-encoding durable submit.
-double ingest_allocs_per_submission(bool zero_copy) {
+/// multiplexed (version-2) connections, so both sides see v2 frames. The
+/// chain is the server's: pooled frame buffer, in-place stream strip,
+/// span-based envelope view, wire-byte journal capture.
+double ingest_allocs_per_submission() {
   namespace fs = std::filesystem;
   char tmpl[] = "bench-ingest-XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
@@ -254,27 +252,14 @@ double ingest_allocs_per_submission(bool zero_copy) {
 
     proto::BufferPool pool;
     const auto submit_one = [&](const std::vector<std::uint8_t>& wire) {
-      if (zero_copy) {
-        // The reactor's read path: socket bytes land in a pooled buffer,
-        // the stream id is patched out in place, the endpoint sees a
-        // span over the same buffer, and the buffer goes back.
-        std::vector<std::uint8_t> body = pool.acquire(wire.size());
-        std::memcpy(body.data(), wire.data(), wire.size());
-        (void)proto::strip_stream_inplace(body);
-        (void)endpoint.handle(body);
-        pool.release(std::move(body));
-      } else {
-        // Pre-pool ingest: a fresh body allocation per frame, a
-        // whole-frame copy to strip the stream id, a copying envelope
-        // decode, and a durable submit that re-encodes the report it
-        // just decoded.
-        const std::vector<std::uint8_t> body(wire.begin(), wire.end());
-        const proto::StrippedFrame stripped = proto::strip_stream(body);
-        const proto::Envelope env = proto::decode_envelope(stripped.frame);
-        proto::BlindedReport report = proto::BlindedReport::decode(env);
-        durable.submit_report(report.participant, std::move(report.cells));
-        (void)proto::encode_ack();
-      }
+      // The reactor's read path: socket bytes land in a pooled buffer,
+      // the stream id is patched out in place, the endpoint sees a span
+      // over the same buffer, and the buffer goes back.
+      std::vector<std::uint8_t> body = pool.acquire(wire.size());
+      std::memcpy(body.data(), wire.data(), wire.size());
+      (void)proto::strip_stream_inplace(body);
+      (void)endpoint.handle(body);
+      pool.release(std::move(body));
     };
 
     for (std::size_t i = 0; i < kWarm; ++i) submit_one(frames[i]);
@@ -295,13 +280,8 @@ void write_trajectory(const std::string& path) {
   // schema is fixed; the op name disambiguates the unit).
   writer.add({.op = "ingest_allocs_per_submission",
               .modulus_bits = 0,
-              .ns_per_op = ingest_allocs_per_submission(/*zero_copy=*/true),
+              .ns_per_op = ingest_allocs_per_submission(),
               .backend = "zero_copy",
-              .cores = 1});
-  writer.add({.op = "ingest_allocs_per_submission",
-              .modulus_bits = 0,
-              .ns_per_op = ingest_allocs_per_submission(/*zero_copy=*/false),
-              .backend = "legacy",
               .cores = 1});
   if (!writer.write(path))
     std::fprintf(stderr, "failed to write %s\n", path.c_str());

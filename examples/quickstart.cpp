@@ -915,13 +915,22 @@ int run_crash_demo(std::size_t n) {
   const std::string dir = dir_template;
   const std::string journal_dir = dir + "/journal";
 
-  // Incarnation 1: open the round, submit just over half the roster
-  // (sync transport: each ack means the server applied it), then SIGKILL.
+  // Each incarnation is driven through a sync RemoteBackend over a
+  // reactor channel: every call is one blocking round trip, so each ack
+  // means the server applied that submission, and a refusal throws at the
+  // call that made it. The reactor lives inside each incarnation's scope,
+  // so no client thread or socket exists when the next server is forked.
+
+  // Incarnation 1: open the round, submit just over half the roster, then
+  // SIGKILL.
   const std::size_t kill_after = n - n / 2;
   std::size_t missing_before_kill = 0;
   const pid_t first = spawn_journaled_server(journal_dir, dir + "/port1");
   {
-    proto::TcpTransport link("127.0.0.1", await_port(dir + "/port1"));
+    proto::ClientReactor reactor({.shards = 1});
+    const auto channel =
+        reactor.open("127.0.0.1", await_port(dir + "/port1"));
+    proto::SyncTransportAdapter link(*channel);
     server::RemoteBackend remote(link, config);
     remote.begin_round(/*round=*/1, n);
     for (std::size_t i = 0; i < kill_after; ++i)
@@ -950,7 +959,10 @@ int run_crash_demo(std::size_t n) {
   std::optional<server::RoundResult> got;
   const pid_t second = spawn_journaled_server(journal_dir, dir + "/port2");
   {
-    proto::TcpTransport link("127.0.0.1", await_port(dir + "/port2"));
+    proto::ClientReactor reactor({.shards = 1});
+    const auto channel =
+        reactor.open("127.0.0.1", await_port(dir + "/port2"));
+    proto::SyncTransportAdapter link(*channel);
     server::RemoteBackend remote(link, config);
     remote.adopt_round(1);
     missing_after_crash = remote.missing_participants().size();

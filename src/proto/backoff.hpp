@@ -1,5 +1,5 @@
-// Deterministic jittered exponential backoff, shared by the blocking
-// TcpTransport and the ClientReactor channels.
+// Deterministic jittered exponential backoff for the ClientReactor
+// channels' connect retries.
 //
 // Why jitter at all: a reporter swarm that loses its server reconnects in
 // synchronized waves if every client sleeps the same doubling schedule —

@@ -516,9 +516,8 @@ struct ClientReactorImpl {
         // this path, and only when the caller asked for retries); the
         // wrap itself is an in-place header patch — the encoder reserved
         // mux headroom, so steady-state mux send allocates nothing. An
-        // externally produced buffer without headroom still works
-        // (mux_frame_with_prefix_inplace reallocates once), the copying
-        // add_stream form stays available for such callers.
+        // externally produced buffer without headroom still works:
+        // mux_frame_with_prefix_inplace reallocates it once.
         if (retries > 0) {
           ex.retries_left = retries;
           ex.retry_frame = frame;
@@ -648,22 +647,22 @@ struct ClientReactorImpl {
     }
   }
 
-  /// Reply dispatch for a negotiated connection: strip the stream id and
-  /// hand the version-1 bytes to that stream's FIFO head. Returns false
-  /// when the channel was torn down.
+  /// Reply dispatch for a negotiated connection: strip the stream id in
+  /// place and hand the version-1 bytes to that stream's FIFO head.
+  /// Returns false when the channel was torn down.
   bool deliver_mux_reply(const std::shared_ptr<ChannelCore>& core,
                          std::vector<std::uint8_t> frame) {
     ChannelCore& c = *core;
-    StrippedFrame sf;
+    std::uint32_t stream = 0;
     try {
-      sf = strip_stream(frame);
+      stream = strip_stream_inplace(frame);
     } catch (const ProtoError&) {
       fail_all(core, make_error(ErrorCode::kInternal,
                                 "client recv: undecodable mux envelope"));
       return false;
     }
     PendingExchange ex;
-    if (sf.stream == 0) {
+    if (stream == 0) {
       if (c.pending.empty()) {
         fail_all(core, make_error(ErrorCode::kInternal,
                                   "client recv: unsolicited reply"));
@@ -672,7 +671,7 @@ struct ClientReactorImpl {
       ex = std::move(c.pending.front());
       c.pending.pop_front();
     } else {
-      const auto it = c.streams.find(sf.stream);
+      const auto it = c.streams.find(stream);
       if (it == c.streams.end() || it->second.pending.empty()) {
         fail_all(core,
                  make_error(ErrorCode::kInternal,
@@ -690,13 +689,13 @@ struct ClientReactorImpl {
     }
     disarm_deadline(c, ex);
     if (ex.retries_left > 0 && !ex.retry_frame.empty()) {
-      const std::uint32_t hint = shed_retry_hint(sf.frame);
+      const std::uint32_t hint = shed_retry_hint(frame);
       if (hint != 0) {
         schedule_retry(core, std::move(ex), hint);
         return true;
       }
     }
-    deliver_ok(c, ex, std::move(sf.frame));
+    deliver_ok(c, ex, std::move(frame));
     return true;
   }
 
@@ -742,7 +741,7 @@ struct ClientReactorImpl {
     c.attempts_left = options.connect_attempts;
     c.next_backoff = options.connect_backoff;
     // Re-resolve per phase: a reconnect after failover must not chase a
-    // stale address list (TcpTransport resolves on every attempt).
+    // stale address list.
     c.addrs.clear();
     c.addr_lens.clear();
     c.addr_next = 0;
@@ -855,10 +854,10 @@ struct ClientReactorImpl {
     ChannelCore& c = *core;
     disarm_conn_timer(c);
     connects_established.fetch_add(1, std::memory_order_relaxed);
-    if (options.tcp_nodelay) {
-      const int one = 1;
-      (void)::setsockopt(c.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    // Request/reply traffic is one small segment each way; Nagle
+    // coalescing would only add latency.
+    const int one = 1;
+    (void)::setsockopt(c.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     c.st = ChannelCore::St::kConnected;
     if (c.mux_enabled) {
       // Hello goes out before anything else; staged submissions flush

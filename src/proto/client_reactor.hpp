@@ -1,12 +1,8 @@
-// The outbound half of the reactor transport: one process driving
-// thousands of simultaneous client connections on a fixed thread budget.
-//
-// PR 4 put the *server* on an epoll reactor; every outbound link still
-// cost a blocking thread (TcpTransport parks its caller for the whole
-// exchange), so nothing could realistically play a paper-scale reporter
-// population from one process. ClientReactor closes that gap: N reactor
-// shards (event-loop threads) multiplex any number of ClientChannels, each
-// channel a non-blocking outbound connection with
+// The client half of the TCP binding: one process driving thousands of
+// simultaneous outbound connections on a fixed thread budget, and the one
+// client I/O path every caller uses. N reactor shards (event-loop
+// threads) multiplex any number of ClientChannels, each channel a
+// non-blocking outbound connection with
 //   * non-blocking connect with retry + deterministic jittered backoff
 //     (proto/backoff.hpp — a swarm must not reconnect in lockstep waves);
 //   * pipelined exchanges: any number in flight on one connection,
@@ -17,14 +13,14 @@
 //   * the AsyncTransport API: exchange_async(frame, done) from any thread,
 //     completion delivered from the shard's loop thread.
 //
-// Error surface mirrors TcpTransport exactly (docs/protocol.md, "Transport
-// bindings"): peer closes before answering -> empty reply (lost response),
-// mid-frame close -> kTruncated, declared length above cap -> kOversized,
-// connect failure / I/O error / deadline -> kInternal. A failed exchange is
-// never silently replayed; the connection is torn down and the next
-// exchange reconnects (fresh attempt budget), exactly like the blocking
-// client. Sync callers keep working bit-for-bit through
-// proto::SyncTransportAdapter.
+// Error surface (docs/protocol.md, "Transport bindings"): peer closes
+// before answering -> empty reply (lost response), mid-frame close ->
+// kTruncated, declared length above cap -> kOversized, connect failure /
+// I/O error / deadline -> kInternal. A failed exchange is never silently
+// replayed; the connection is torn down and the next exchange reconnects
+// with a fresh attempt budget. Blocking callers (the OPRF mapper, a sync
+// RemoteBackend) drive a channel through proto::SyncTransportAdapter and
+// see the same replies, the same thrown ProtoErrors and the same stats.
 //
 // Threading contract: exchange_async/close are safe from any thread
 // (including inside a completion); completions run on the channel's loop
@@ -70,7 +66,6 @@ struct ClientReactorOptions {
   /// Seed of the backoff jitter stream; each channel derives its own
   /// deterministic stream from seed ^ channel id.
   std::uint64_t backoff_jitter_seed = 1;
-  bool tcp_nodelay = true;
 };
 
 /// Aggregate accounting across every channel of one ClientReactor. The
@@ -118,7 +113,7 @@ struct ChannelCore;
 
 /// One outbound connection multiplexed on a ClientReactor shard. Obtained
 /// from ClientReactor::open(); connects lazily on the first exchange and
-/// reconnects (with backoff) after any failure, like TcpTransport. Safe to
+/// reconnects (with backoff) on the next exchange after any failure. Safe to
 /// destroy with exchanges in flight — their completions still fire, and
 /// once the last of them has, the connection and all per-channel state
 /// are reclaimed (a long-lived reactor can open channels freely without

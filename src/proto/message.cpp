@@ -243,51 +243,6 @@ std::optional<std::uint32_t> peek_stream(
          (frame[26] << 16) | (static_cast<std::uint32_t>(frame[27]) << 24);
 }
 
-std::vector<std::uint8_t> add_stream(std::span<const std::uint8_t> frame,
-                                     std::uint32_t stream) {
-  if (frame.size() < kEnvelopeHeaderBytes)
-    throw ProtoError(ErrorCode::kTruncated, "add_stream: short frame");
-  if (static_cast<std::uint16_t>(frame[4] | (frame[5] << 8)) != kProtoVersion)
-    throw ProtoError(ErrorCode::kBadVersion,
-                     "add_stream: input is not a version-1 frame");
-  std::vector<std::uint8_t> out;
-  out.reserve(frame.size() + 4);
-  out.assign(frame.begin(), frame.begin() + kEnvelopeHeaderBytes);
-  out[4] = static_cast<std::uint8_t>(kProtoVersionMux);
-  out[5] = static_cast<std::uint8_t>(kProtoVersionMux >> 8);
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(stream >> (8 * i)));
-  out.insert(out.end(), frame.begin() + kEnvelopeHeaderBytes, frame.end());
-  return out;
-}
-
-StrippedFrame strip_stream(std::span<const std::uint8_t> frame) {
-  if (frame.size() < kEnvelopeHeaderBytes)
-    throw ProtoError(ErrorCode::kTruncated, "strip_stream: short frame");
-  const auto version =
-      static_cast<std::uint16_t>(frame[4] | (frame[5] << 8));
-  StrippedFrame out;
-  if (version == kProtoVersion) {  // legacy frame on a mux connection
-    out.frame.assign(frame.begin(), frame.end());
-    return out;
-  }
-  if (version != kProtoVersionMux)
-    throw ProtoError(ErrorCode::kBadVersion, "strip_stream: unknown version");
-  if (frame.size() < kMuxEnvelopeHeaderBytes)
-    throw ProtoError(ErrorCode::kTruncated,
-                     "strip_stream: header ends before the stream id");
-  out.stream = static_cast<std::uint32_t>(frame[24]) | (frame[25] << 8) |
-               (frame[26] << 16) |
-               (static_cast<std::uint32_t>(frame[27]) << 24);
-  out.frame.reserve(frame.size() - 4);
-  out.frame.assign(frame.begin(), frame.begin() + kEnvelopeHeaderBytes);
-  out.frame[4] = static_cast<std::uint8_t>(kProtoVersion);
-  out.frame[5] = static_cast<std::uint8_t>(kProtoVersion >> 8);
-  out.frame.insert(out.frame.end(), frame.begin() + kMuxEnvelopeHeaderBytes,
-                   frame.end());
-  return out;
-}
-
 namespace {
 
 void require_v1_frame(const std::vector<std::uint8_t>& frame,

@@ -158,28 +158,12 @@ inline constexpr std::uint32_t kCapMux = 0x1;  // version-2 stream envelopes
 
 // ------------------------------------------------------- stream transforms
 // Raw-byte conversions between the two envelope versions, used at the mux
-// connection boundary. Neither touches the payload: add_stream patches the
-// version field and inserts the 4-byte stream id at the header's tail,
-// strip_stream removes it. A round trip is byte-identical, so everything
-// downstream of a mux connection operates on the exact version-1 frames a
+// connection boundary. They work on the owned frame in place and never
+// touch the payload: add_stream_inplace patches the version field and
+// inserts the 4-byte stream id at the header's tail, strip_stream_inplace
+// removes it. A round trip is byte-identical, so everything downstream of
+// a mux connection operates on the exact version-1 frames a
 // per-connection peer would have produced.
-
-/// Wrap a version-1 envelope frame as version 2 carrying `stream`.
-/// Throws ProtoError(kTruncated) on a short frame, kBadVersion if the
-/// input is not version 1.
-[[nodiscard]] std::vector<std::uint8_t> add_stream(
-    std::span<const std::uint8_t> frame, std::uint32_t stream);
-
-/// Result of strip_stream: the stream id and the version-1 frame bytes.
-struct StrippedFrame {
-  std::uint32_t stream = 0;
-  std::vector<std::uint8_t> frame;
-};
-
-/// Unwrap a version-2 envelope frame into (stream, version-1 bytes). A
-/// version-1 input passes through unchanged with stream 0 (the legacy
-/// lane). Throws ProtoError on a short frame or an unknown version.
-[[nodiscard]] StrippedFrame strip_stream(std::span<const std::uint8_t> frame);
 
 /// Capacity headroom encode_envelope reserves beyond the encoded size: a
 /// 4-byte stream id plus a 4-byte TCP length prefix, so the mux write path
@@ -187,19 +171,20 @@ struct StrippedFrame {
 /// single allocation. Headroom is capacity only — no wire byte changes.
 inline constexpr std::size_t kMuxHeadroomBytes = 8;
 
-/// add_stream operating on the owned frame in place: grows `frame` by 4,
-/// shifts the payload up, patches the version, writes the stream id at the
-/// header tail. Allocation-free whenever the vector has 4 bytes of spare
-/// capacity (encode_envelope reserves kMuxHeadroomBytes). Same validation
-/// and throws as add_stream; `frame` is unchanged on throw.
+/// Wrap a version-1 envelope frame as version 2 carrying `stream`: grows
+/// `frame` by 4, shifts the payload up, patches the version, writes the
+/// stream id at the header tail. Allocation-free whenever the vector has
+/// 4 bytes of spare capacity (encode_envelope reserves kMuxHeadroomBytes).
+/// Throws ProtoError(kTruncated) on a short frame, kBadVersion if the
+/// input is not version 1; `frame` is unchanged on throw.
 void add_stream_inplace(std::vector<std::uint8_t>& frame,
                         std::uint32_t stream);
 
-/// strip_stream operating on the owned frame in place: removes the stream
-/// id, restores version 1, returns the stream (0 for a version-1 input,
-/// which passes through untouched). Never allocates — the frame only
-/// shrinks. Same validation and throws as strip_stream; `frame` is
-/// unchanged on throw.
+/// Unwrap a version-2 envelope frame: removes the stream id, restores
+/// version 1, returns the stream. A version-1 input passes through
+/// untouched with stream 0 (the legacy lane). Never allocates — the frame
+/// only shrinks. Throws ProtoError on a short frame or an unknown
+/// version; `frame` is unchanged on throw.
 std::uint32_t strip_stream_inplace(std::vector<std::uint8_t>& frame);
 
 /// The client mux send-path fast form: turns an owned version-1 frame into

@@ -1,14 +1,14 @@
-// Minimal blocking client-side helpers for the TCP length framing: frame
-// a buffer with its 4-byte little-endian prefix, push/pull whole framed
-// messages over a plain socket fd, open IPv4 connections by address.
+// Minimal blocking helpers for the TCP length framing: frame a buffer
+// with its 4-byte little-endian prefix, push/pull whole framed messages
+// over a plain socket fd, open IPv4 connections by address.
 //
-// TcpTransport is deliberately one-connection/one-exchange (the contract
-// every Transport shares); anything that needs to hold *many*
-// simultaneous connections — `quickstart --reporters`, the
-// transport-concurrency bench, the reactor stress tests — drives raw fds
-// with these instead of instantiating hundreds of transports. Kept
-// header-only and allocation-minimal; errors surface as false/empty (the
-// callers are load drivers and tests, each with its own failure styles).
+// Production clients go through proto::ClientReactor. These are for the
+// code that must speak the framing below it: hand-rolled peers in tests
+// (a pre-Hello server, a deliberately misbehaving one), hostile-byte
+// injectors in the scenario harness, the stats endpoint, and the
+// reactor's own client-side prefix. Kept header-only and
+// allocation-minimal; errors surface as false/empty (the callers are load
+// drivers and tests, each with its own failure styles).
 //
 // process_threads() rides along because every consumer of this header
 // asserts or reports the reactor's thread budget (resident threads =

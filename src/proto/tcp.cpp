@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -19,7 +18,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "proto/backoff.hpp"
 #include "proto/buffer_pool.hpp"
 #include "proto/frame_assembler.hpp"
 #include "proto/reactor.hpp"
@@ -50,10 +48,8 @@ void set_nodelay(int fd) {
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-using SteadyClock = std::chrono::steady_clock;
-
 /// Wait for `events` on fd. Returns true when ready, false on timeout.
-/// One-shot wait used by the connect handshake.
+/// The acceptor's wake-up poll, so stop() is noticed within `timeout`.
 bool poll_wait(int fd, short events, Millis timeout) {
   struct pollfd pfd {};
   pfd.fd = fd;
@@ -66,87 +62,6 @@ bool poll_wait(int fd, short events, Millis timeout) {
     }
     return rv > 0;
   }
-}
-
-/// Wait for `events` until an absolute deadline. Returns true when ready,
-/// false only at the deadline — so an I/O loop using this is bounded by
-/// the *whole-frame* deadline, no matter how slowly a peer drips bytes.
-bool poll_until(int fd, short events, SteadyClock::time_point deadline) {
-  struct pollfd pfd {};
-  pfd.fd = fd;
-  pfd.events = events;
-  for (;;) {
-    const auto now = SteadyClock::now();
-    if (now >= deadline) return false;
-    const auto wait =
-        std::chrono::duration_cast<Millis>(deadline - now) + Millis(1);
-    const int rv = ::poll(&pfd, 1, static_cast<int>(wait.count()));
-    if (rv < 0) {
-      if (errno == EINTR) continue;
-      throw_io("poll");
-    }
-    if (rv > 0) return true;
-  }
-}
-
-/// Write all of `bytes` before `deadline` (client side).
-void send_all(int fd, std::span<const std::uint8_t> bytes,
-              SteadyClock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!poll_until(fd, POLLOUT, deadline))
-        throw ProtoError(ErrorCode::kInternal, "tcp send: timeout");
-      continue;
-    }
-    throw_io("tcp send");
-  }
-}
-
-enum class ReadResult { kOk, kEofAtStart };
-
-/// Read exactly bytes.size() bytes before `deadline` (client side). A
-/// clean EOF before the first byte returns kEofAtStart (the caller decides
-/// whether that is legal at this stream position); EOF after partial
-/// progress throws kTruncated.
-ReadResult recv_exact(int fd, std::span<std::uint8_t> bytes,
-                      SteadyClock::time_point deadline, const char* what) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::recv(fd, bytes.data() + off, bytes.size() - off, 0);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) {
-      if (off == 0) return ReadResult::kEofAtStart;
-      throw ProtoError(ErrorCode::kTruncated,
-                       std::string(what) + ": peer closed mid-frame");
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!poll_until(fd, POLLIN, deadline))
-        throw ProtoError(ErrorCode::kInternal,
-                         std::string(what) + ": timeout");
-      continue;
-    }
-    throw_io(what);
-  }
-  return ReadResult::kOk;
-}
-
-std::uint32_t decode_prefix(const std::uint8_t p[4]) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 /// One contiguous buffer per message so request and reply each leave in a
@@ -164,135 +79,7 @@ std::vector<std::uint8_t> frame_with_prefix(
   return out;
 }
 
-int connect_once(const std::string& host, std::uint16_t port, Millis timeout,
-                 bool nodelay) {
-  struct addrinfo hints {};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const std::string service = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), service.c_str(), &hints, &res) != 0 ||
-      res == nullptr)
-    return -1;
-  int fd = -1;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    try {
-      set_nonblocking(fd);
-    } catch (const ProtoError&) {
-      ::close(fd);
-      fd = -1;
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    if (errno == EINPROGRESS) {
-      bool ready = false;
-      try {
-        ready = poll_wait(fd, POLLOUT, timeout);
-      } catch (const ProtoError&) {
-      }
-      int err = 0;
-      socklen_t len = sizeof(err);
-      if (ready &&
-          ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0 &&
-          err == 0)
-        break;
-    }
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  if (fd >= 0 && nodelay) set_nodelay(fd);
-  return fd;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------- client
-
-TcpTransport::TcpTransport(std::string host, std::uint16_t port,
-                           TcpOptions options)
-    : host_(std::move(host)),
-      port_(port),
-      options_(options),
-      jitter_state_(options.backoff_jitter_seed) {
-  if (options_.connect_attempts < 1)
-    throw std::invalid_argument("TcpTransport: connect_attempts < 1");
-}
-
-TcpTransport::~TcpTransport() { close(); }
-
-void TcpTransport::close() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-void TcpTransport::ensure_connected() {
-  if (fd_ >= 0) return;
-  Millis backoff = options_.connect_backoff;
-  for (int attempt = 0; attempt < options_.connect_attempts; ++attempt) {
-    if (attempt > 0) {
-      // Jittered so a reporter swarm losing its server does not retry in
-      // synchronized waves; deterministic per seed (proto/backoff.hpp).
-      std::this_thread::sleep_for(jittered_backoff(backoff, jitter_state_));
-      backoff *= 2;
-    }
-    fd_ = connect_once(host_, port_, options_.connect_timeout,
-                       options_.tcp_nodelay);
-    if (fd_ >= 0) return;
-  }
-  throw ProtoError(ErrorCode::kInternal,
-                   "tcp connect to " + host_ + ":" + std::to_string(port_) +
-                       " failed after " +
-                       std::to_string(options_.connect_attempts) +
-                       " attempts");
-}
-
-std::vector<std::uint8_t> TcpTransport::do_exchange(
-    std::span<const std::uint8_t> frame) {
-  if (frame.size() > kMaxTcpFrameBytes)
-    throw ProtoError(ErrorCode::kOversized, "tcp send: frame above cap");
-  ensure_connected();
-  try {
-    // io_timeout bounds the whole send, then the whole reply (whose clock
-    // starts at the request send — it covers the peer's compute time too).
-    send_all(fd_, frame_with_prefix(frame),
-             SteadyClock::now() + options_.io_timeout);
-
-    const auto reply_deadline = SteadyClock::now() + options_.io_timeout;
-    std::uint8_t prefix[4];
-    if (recv_exact(fd_, prefix, reply_deadline, "tcp recv reply") ==
-        ReadResult::kEofAtStart) {
-      // The request left, the peer closed without answering: the response
-      // is lost, not the protocol broken. Surfaces exactly like a dropped
-      // loopback response (empty reply -> expect_reply raises).
-      close();
-      return {};
-    }
-    const std::uint32_t len = decode_prefix(prefix);
-    if (len == 0) return {};
-    if (len > kMaxTcpFrameBytes) {
-      // Unread body of unknowable size: the stream cannot be resynced.
-      close();
-      throw ProtoError(ErrorCode::kOversized,
-                       "tcp recv reply: declared length above cap");
-    }
-    std::vector<std::uint8_t> reply(len);
-    if (recv_exact(fd_, reply, reply_deadline, "tcp recv reply") ==
-        ReadResult::kEofAtStart)
-      throw ProtoError(ErrorCode::kTruncated,
-                       "tcp recv reply: peer closed mid-frame");
-    return reply;
-  } catch (...) {
-    // Whatever broke mid-stream, the connection is in an unknown framing
-    // state — never reuse it.
-    close();
-    throw;
-  }
-}
 
 // ---------------------------------------------------------------- server
 //
@@ -512,7 +299,7 @@ struct FrameServer::Impl {
         ::close(fd);
         continue;
       }
-      if (options.tcp_nodelay) set_nodelay(fd);
+      set_nodelay(fd);
       if (active.load(std::memory_order_relaxed) >=
           options.max_connections) {
         // Admission control: refuse loudly with a machine-readable code

@@ -1,6 +1,8 @@
 // Real-socket Transport binding: length-framed delivery of encoded
-// envelopes over TCP — a blocking client (TcpTransport) and an
-// event-driven epoll reactor server (FrameServer).
+// envelopes over TCP. This header is the server half, an event-driven
+// epoll reactor (FrameServer); the client half is proto::ClientReactor
+// (proto/client_reactor.hpp), and blocking callers wrap one of its
+// ClientChannels in a SyncTransportAdapter.
 //
 // Framing is a 4-byte little-endian length prefix followed by exactly that
 // many envelope bytes. The prefix is transport overhead — TransportStats
@@ -10,8 +12,8 @@
 // of "no reply" (the loopback path's empty vector, e.g. a dropped
 // response), so the two transports are observationally interchangeable.
 //
-// Error mapping onto the protocol's ErrorCodes (docs/protocol.md,
-// "Transport bindings"):
+// Error mapping onto the protocol's ErrorCodes, as a client sees it
+// (docs/protocol.md, "Transport bindings"):
 //   * peer closes before any reply byte  -> empty reply (lost response;
 //     the caller's expect_reply raises, same as FaultPlan::kDropResponse)
 //   * peer closes mid-prefix or mid-body -> ProtoError(kTruncated)
@@ -40,60 +42,10 @@ namespace eyw::proto {
 
 /// Hard cap on one length-framed message: the larger (mux) envelope
 /// header plus the largest payload the envelope layer itself accepts, so
-/// a version-1 frame that fits keeps fitting after add_stream() wraps it.
+/// a version-1 frame that fits keeps fitting once a stream id is added.
 /// Checked against the declared length before any allocation on both ends.
 inline constexpr std::size_t kMaxTcpFrameBytes =
     kMuxEnvelopeHeaderBytes + kMaxPayloadBytes;
-
-/// Client-side knobs. Timeouts bound each blocking wait inside one
-/// exchange (connect handshake, send progress, reply progress), so a dead
-/// peer surfaces as ProtoError(kInternal) instead of a hang.
-struct TcpOptions {
-  std::chrono::milliseconds connect_timeout{2'000};
-  std::chrono::milliseconds io_timeout{30'000};
-  /// Connection attempts per exchange when not connected; the delay
-  /// doubles after each failure. Lets a client start before its server.
-  int connect_attempts = 6;
-  std::chrono::milliseconds connect_backoff{50};
-  /// Seed of the deterministic jitter applied to each backoff delay
-  /// (proto/backoff.hpp: each wait lands in [d/2, 3d/2]). Reporters in a
-  /// swarm should each use a distinct seed so a lost server is not greeted
-  /// by synchronized reconnect waves; the fixed default keeps single-link
-  /// tests reproducible.
-  std::uint64_t backoff_jitter_seed = 1;
-  /// Disable Nagle on the connection (request/reply traffic is one small
-  /// segment each way; coalescing only adds latency). Off exists for the
-  /// before/after row in bench_overhead_privacy — see docs/perf.md.
-  bool tcp_nodelay = true;
-};
-
-/// Connects lazily on first exchange (with retry/backoff) and keeps the
-/// connection for subsequent exchanges; any mid-stream failure closes it,
-/// and the next exchange reconnects. One in-flight exchange at a time —
-/// same contract as every other Transport.
-class TcpTransport final : public Transport {
- public:
-  TcpTransport(std::string host, std::uint16_t port, TcpOptions options = {});
-  ~TcpTransport() override;
-
-  TcpTransport(const TcpTransport&) = delete;
-  TcpTransport& operator=(const TcpTransport&) = delete;
-
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
-  /// Close the connection (the next exchange reconnects).
-  void close() noexcept;
-
- private:
-  std::vector<std::uint8_t> do_exchange(
-      std::span<const std::uint8_t> frame) override;
-  void ensure_connected();
-
-  std::string host_;
-  std::uint16_t port_;
-  TcpOptions options_;
-  std::uint64_t jitter_state_;
-  int fd_ = -1;
-};
 
 /// Event-loop accounting shared by the server-side FrameServer and
 /// (name-for-name where it applies) the client-side reactor: how many
@@ -126,10 +78,11 @@ struct ReactorCounters {
   /// scenario asserts exactly that.
   std::uint64_t pool_misses = 0;
   /// Bytes relocated by copying fallbacks on the ingest/reply path — a
-  /// reply without mux headroom forcing add_stream to reallocate, for
-  /// instance. Frames produced by this repo's encoders always carry
-  /// headroom, so this stays 0 (and flat in the soak assertion); growth
-  /// means an externally produced buffer is riding the slow path.
+  /// reply without mux headroom forcing add_stream_inplace to
+  /// reallocate, for instance. Frames produced by this repo's encoders
+  /// always carry headroom, so this stays 0 (and flat in the soak
+  /// assertion); growth means an externally produced buffer is riding the
+  /// slow path.
   std::uint64_t bytes_copied_ingest = 0;
 };
 
@@ -161,8 +114,6 @@ struct FrameServerOptions {
   /// slow reader. A connection idle *between* frames is left alone:
   /// clients keep the channel open across round phases.
   std::chrono::milliseconds io_timeout{30'000};
-  /// TCP_NODELAY on accepted sockets (see TcpOptions::tcp_nodelay).
-  bool tcp_nodelay = true;
   /// Highest stream id accepted on a mux-negotiated connection. Clients
   /// assign ids sequentially from 1, so this caps the logical channels
   /// one socket may carry; a frame above the cap is refused on the spot

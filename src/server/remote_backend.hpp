@@ -1,7 +1,7 @@
 // Client-side stub of a back-end living in another process: implements the
 // RoundBackend surface by speaking the wire protocol's control plane and
-// submission envelopes over any Transport (TcpTransport for a real
-// deployment, LoopbackTransport in tests).
+// submission envelopes over any transport (a ClientReactor channel for a
+// real deployment, LoopbackTransport in tests).
 //
 // This is what makes the multi-process deployment a drop-in change: a
 // RoundCoordinator handed a RemoteBackend runs the exact same code it runs
@@ -11,8 +11,9 @@
 // the carried code, exactly like a local refusal.
 //
 // Two wire modes:
-//   * over a sync Transport every call is one blocking round trip —
-//     unchanged semantics, bit-for-bit;
+//   * over a sync Transport (a channel behind SyncTransportAdapter, or
+//     loopback) every call is one blocking round trip, and a refused
+//     submission throws at the call that made it;
 //   * over an AsyncTransport (a ClientReactor channel) submissions
 //     *pipeline*: submit_report/submit_adjustment return once the frame is
 //     in flight, acks are collected in the background, and the protocol's

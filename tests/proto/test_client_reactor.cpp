@@ -309,33 +309,10 @@ TEST(Backoff, JitterIsDeterministicPerSeedAndBounded) {
 
 // ------------------------------------------------------------ sync adapter
 
-TEST(SyncTransportAdapter, BlockingExchangeOverChannelMatchesTcpTransport) {
-  // The same request against the same server through TcpTransport and
-  // through the adapter-over-channel must produce identical reply bytes
-  // and identical stats accounting.
-  FrameServer server([](std::span<const std::uint8_t> frame) {
-    (void)decode_envelope(frame);
-    return encode_ack();
-  });
-
-  TcpTransport blocking("127.0.0.1", server.port());
-  ClientReactor reactor({.shards = 1});
-  auto channel = reactor.open("127.0.0.1", server.port());
-  SyncTransportAdapter adapted(*channel);
-
-  const auto request = encode_oprf_key_query();
-  const auto want = blocking.exchange(request);
-  const auto got = adapted.exchange(request);
-  EXPECT_EQ(want, got);
-  EXPECT_EQ(blocking.stats().bytes_sent, adapted.stats().bytes_sent);
-  EXPECT_EQ(blocking.stats().bytes_received, adapted.stats().bytes_received);
-  EXPECT_EQ(blocking.stats().messages_sent, adapted.stats().messages_sent);
-}
-
 TEST(SyncTransportAdapter, ChannelErrorSurfacesAsThrownProtoError) {
   // Nothing listening and one connect attempt: the async failure must
-  // come out of the blocking call as the thrown ProtoError a TcpTransport
-  // user would see.
+  // come out of the blocking call as the thrown ProtoError every
+  // Transport user expects.
   std::uint16_t port = 0;
   {
     FrameServer probe([](std::span<const std::uint8_t>) {

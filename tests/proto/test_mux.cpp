@@ -1,13 +1,14 @@
 // PR 9's multiplexing layer, bottom to top: the version-2 stream
-// envelope (add/strip round trips, truncation at every byte boundary,
-// negative decodes), Hello capability negotiation, the retry-after hint
-// on ErrorReply, dispatcher-lane overload shedding, and the end-to-end
-// contract — many logical streams on one socket with per-stream FIFO
-// correlation, sibling-stream independence under a stalled handler,
-// deterministic sheds at the stream-id cap and the per-stream backlog
-// bound, transparent client retry of hinted sheds, graceful degradation
-// against a pre-Hello peer, and a mux swarm finishing a round
-// bit-identical to the same submissions applied in-process.
+// envelope (in-place add/strip round trips, truncation at every byte
+// boundary, negative decodes), Hello capability negotiation, the
+// retry-after hint on ErrorReply, dispatcher-lane overload shedding, and
+// the end-to-end contract — many logical streams on one socket with
+// per-stream FIFO correlation, sibling-stream independence under a
+// stalled handler, deterministic sheds at the stream-id cap and the
+// per-stream backlog bound, transparent client retry of hinted sheds,
+// graceful degradation against a pre-Hello peer, and a mux swarm
+// finishing a round bit-identical to the same submissions applied
+// in-process and to the same swarm with one connection per reporter.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -85,11 +86,20 @@ struct Caught {
 
 // --------------------------------------------------- the stream envelope
 
+// The transforms under test are the in-place forms the production paths
+// run: the server's read path (strip_stream_inplace) and reply path
+// (add_stream_inplace), and the client's send path
+// (mux_frame_with_prefix_inplace).
+
 TEST(MuxEnvelope, AddStripRoundTripIsByteIdentical) {
   const auto v1 = sample_v1_frame();
   EXPECT_EQ(peek_stream(v1), 0u);  // legacy frames ride the zero lane
 
-  const auto v2 = add_stream(v1, /*stream=*/7);
+  auto v2 = sample_v1_frame();
+  const std::uint8_t* const buffer = v2.data();
+  add_stream_inplace(v2, /*stream=*/7);
+  EXPECT_EQ(v2.data(), buffer)
+      << "encoder headroom makes the wrap allocation-free";
   ASSERT_EQ(v2.size(), v1.size() + 4);
   EXPECT_EQ(v2[4], 2);  // version byte patched
   EXPECT_EQ(peek_stream(v2), 7u);
@@ -104,31 +114,44 @@ TEST(MuxEnvelope, AddStripRoundTripIsByteIdentical) {
   EXPECT_EQ(env.round, 5u);
   EXPECT_EQ(env.payload, decode_envelope(v1).payload);
 
-  const StrippedFrame stripped = strip_stream(v2);
-  EXPECT_EQ(stripped.stream, 7u);
-  EXPECT_EQ(stripped.frame, v1) << "round trip must be byte-identical";
+  // The client's one-pass send form is exactly the length prefix in front
+  // of what add_stream_inplace produces.
+  auto framed = sample_v1_frame();
+  const std::uint8_t* const framed_buffer = framed.data();
+  mux_frame_with_prefix_inplace(framed, /*stream=*/7);
+  EXPECT_EQ(framed.data(), framed_buffer);
+  EXPECT_EQ(framed, raw::with_prefix(v2));
 
-  // A version-1 input passes strip_stream through unchanged.
-  const StrippedFrame pass = strip_stream(v1);
-  EXPECT_EQ(pass.stream, 0u);
-  EXPECT_EQ(pass.frame, v1);
+  auto stripped = v2;
+  EXPECT_EQ(strip_stream_inplace(stripped), 7u);
+  EXPECT_EQ(stripped, v1) << "round trip must be byte-identical";
+
+  // A version-1 input passes the strip through unchanged.
+  auto pass = v1;
+  EXPECT_EQ(strip_stream_inplace(pass), 0u);
+  EXPECT_EQ(pass, v1);
 }
 
 TEST(MuxEnvelope, TruncationAtEveryByteBoundary) {
-  const auto v2 = add_stream(sample_v1_frame(), /*stream=*/9);
+  auto v2 = sample_v1_frame();
+  add_stream_inplace(v2, /*stream=*/9);
   for (std::size_t cut = 0; cut < v2.size(); ++cut) {
-    const std::span<const std::uint8_t> clipped(v2.data(), cut);
+    std::vector<std::uint8_t> clipped(
+        v2.begin(), v2.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_THROW((void)decode_envelope(clipped), ProtoError) << "cut=" << cut;
     if (cut < kMuxEnvelopeHeaderBytes) {
-      // strip_stream needs the full 28-byte header.
-      EXPECT_THROW((void)strip_stream(clipped), ProtoError)
+      // The strip needs the full 28-byte header, and a refused frame is
+      // left exactly as it was (the server recycles it untouched).
+      const auto before = clipped;
+      EXPECT_THROW((void)strip_stream_inplace(clipped), ProtoError)
           << "strip cut=" << cut;
+      EXPECT_EQ(clipped, before) << "strip cut=" << cut;
     } else {
-      // Past the header, strip_stream is a pure byte transform (the
+      // Past the header, the strip is a pure byte transform (the
       // connection layer only ever feeds it complete frames); the length
       // mismatch must still die loudly in the downstream decode.
-      EXPECT_THROW((void)decode_envelope(strip_stream(clipped).frame),
-                   ProtoError)
+      EXPECT_EQ(strip_stream_inplace(clipped), 9u) << "strip cut=" << cut;
+      EXPECT_THROW((void)decode_envelope(clipped), ProtoError)
           << "stripped cut=" << cut;
     }
   }
@@ -136,13 +159,30 @@ TEST(MuxEnvelope, TruncationAtEveryByteBoundary) {
 }
 
 TEST(MuxEnvelope, NegativeDecodes) {
+  // Each transform that refuses its input must leave it unchanged.
+  const auto refuses = [](std::vector<std::uint8_t> frame,
+                          const auto& transform) {
+    const auto before = frame;
+    const ErrorCode code = code_of([&] { transform(frame); });
+    EXPECT_EQ(frame, before) << "frame changed on throw";
+    return code;
+  };
+  const auto strip = [](std::vector<std::uint8_t>& f) {
+    (void)strip_stream_inplace(f);
+  };
+  const auto add = [](std::vector<std::uint8_t>& f) {
+    add_stream_inplace(f, 2);
+  };
+  const auto send_form = [](std::vector<std::uint8_t>& f) {
+    mux_frame_with_prefix_inplace(f, 2);
+  };
+
   // Version 3 does not exist — 2 is the highest the catalogue speaks.
   auto frame = sample_v1_frame();
   frame[4] = 3;
   EXPECT_EQ(code_of([&] { (void)decode_envelope(frame); }),
             ErrorCode::kBadVersion);
-  EXPECT_EQ(code_of([&] { (void)strip_stream(frame); }),
-            ErrorCode::kBadVersion);
+  EXPECT_EQ(refuses(frame, strip), ErrorCode::kBadVersion);
   EXPECT_EQ(peek_stream(frame), std::nullopt);
 
   // A version byte patched to 2 without the stream id inserted: the
@@ -153,21 +193,21 @@ TEST(MuxEnvelope, NegativeDecodes) {
             ErrorCode::kTruncated);
 
   // Trailing garbage after a valid version-2 frame.
-  auto v2 = add_stream(sample_v1_frame(), /*stream=*/1);
-  v2.push_back(0xee);
-  EXPECT_EQ(code_of([&] { (void)decode_envelope(v2); }),
+  auto v2 = sample_v1_frame();
+  add_stream_inplace(v2, /*stream=*/1);
+  auto trailing = v2;
+  trailing.push_back(0xee);
+  EXPECT_EQ(code_of([&] { (void)decode_envelope(trailing); }),
             ErrorCode::kTrailingBytes);
 
-  // add_stream refuses anything that is not a version-1 frame.
-  EXPECT_EQ(code_of([&] {
-              (void)add_stream(add_stream(sample_v1_frame(), 1), 2);
-            }),
-            ErrorCode::kBadVersion);
+  // The wrapping transforms refuse anything that is not a version-1
+  // frame.
+  EXPECT_EQ(refuses(v2, add), ErrorCode::kBadVersion);
+  EXPECT_EQ(refuses(v2, send_form), ErrorCode::kBadVersion);
   const std::vector<std::uint8_t> shorty{0x45, 0x59, 0x57};
-  EXPECT_EQ(code_of([&] { (void)add_stream(shorty, 1); }),
-            ErrorCode::kTruncated);
-  EXPECT_EQ(code_of([&] { (void)strip_stream(shorty); }),
-            ErrorCode::kTruncated);
+  EXPECT_EQ(refuses(shorty, add), ErrorCode::kTruncated);
+  EXPECT_EQ(refuses(shorty, send_form), ErrorCode::kTruncated);
+  EXPECT_EQ(refuses(shorty, strip), ErrorCode::kTruncated);
   EXPECT_EQ(peek_stream(shorty), std::nullopt);
 }
 
@@ -586,27 +626,31 @@ TEST(MuxEndToEnd, HintedShedsAreTransparentlyRetried) {
 
 // ----------------------------------------------------------- old peers
 
-TEST(MuxInterop, UnNegotiatedConnectionMatchesBlockingClientByteForByte) {
-  // A legacy ClientChannel (no Hello) against the mux-capable server:
-  // the exchange must be byte-identical to the blocking TcpTransport,
-  // and the server must count zero mux connections — the un-negotiated
-  // path is untouched.
+TEST(MuxInterop, UnNegotiatedConnectionMatchesRawVersion1Exchange) {
+  // A legacy ClientChannel (no Hello) against the mux-capable server: the
+  // exchange must be byte-identical to a hand-framed version-1 exchange
+  // on a raw socket, and the server must count zero mux connections —
+  // the un-negotiated path is untouched.
   FrameServer server([](std::span<const std::uint8_t> frame) {
     (void)decode_envelope(frame);
     return encode_ack();
   });
+  const auto request = encode_oprf_key_query();
 
-  TcpTransport blocking("127.0.0.1", server.port());
+  const int fd = raw::connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(raw::send_all(fd, raw::with_prefix(request)));
+  const auto want = raw::read_framed(fd);
+  ::close(fd);
+  ASSERT_FALSE(want.empty());
+
   ClientReactor reactor({.shards = 1});
   auto channel = reactor.open("127.0.0.1", server.port());
   SyncTransportAdapter adapted(*channel);
-
-  const auto request = encode_oprf_key_query();
-  const auto want = blocking.exchange(request);
   const auto got = adapted.exchange(request);
   EXPECT_EQ(want, got);
-  EXPECT_EQ(blocking.stats().bytes_sent, adapted.stats().bytes_sent);
-  EXPECT_EQ(blocking.stats().bytes_received, adapted.stats().bytes_received);
+  EXPECT_EQ(adapted.stats().bytes_sent, request.size());
+  EXPECT_EQ(adapted.stats().bytes_received, want.size());
 
   const FrameServerStats ss = server.stats();
   EXPECT_EQ(ss.reactor.mux_connections, 0u);
@@ -700,31 +744,33 @@ TEST(MuxInterop, ClientDegradesToLegacyFifoAgainstPreHelloPeer) {
 
 // --------------------------------------------------------- bit identity
 
+void expect_identical(const server::RoundResult& want,
+                      const server::RoundResult& got, const char* what) {
+  const auto want_cells = want.aggregate.cells();
+  const auto got_cells = got.aggregate.cells();
+  ASSERT_EQ(want_cells.size(), got_cells.size()) << what;
+  for (std::size_t c = 0; c < want_cells.size(); ++c)
+    ASSERT_EQ(want_cells[c], got_cells[c]) << what << ": cell " << c;
+  EXPECT_EQ(want.users_threshold, got.users_threshold) << what;
+  EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram())
+      << what;
+  EXPECT_EQ(want.reports, got.reports) << what;
+}
+
 TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
   // 256 logical reporters on ONE socket, full server stack (cluster
   // behind a bounded sharded dispatcher behind the reactor), control
   // plane on a second legacy connection: the finalized aggregate must be
   // bit-identical to the same submissions applied in-process, with the
-  // whole swarm costing two accepted connections.
+  // whole swarm costing two accepted connections. The same reporters then
+  // run once more with a connection each (the version-1 lane), and that
+  // finalize must be bit-identical to the mux one: mux ≡ per-connection.
   constexpr std::size_t kReporters = 256;
   const server::BackendConfig config{
       .cms_params = {.depth = 4, .width = 64},
       .cms_hash_seed = 9,
       .id_space = 2'000,
       .users_rule = core::ThresholdRule::kMean};
-
-  server::BackendCluster cluster(config, 2);
-  server::BackendEndpoint endpoint(cluster, /*serve_control=*/true);
-  server::AsyncDispatcher dispatcher(
-      [&](std::span<const std::uint8_t> frame) {
-        return endpoint.handle(frame);
-      },
-      /*lanes=*/2, server::cluster_lane_router(cluster),
-      server::control_plane_barrier(),
-      {.max_lane_depth = 4096, .counters = &endpoint.counters()});
-  FrameServer server(dispatcher.handler(), {.reactor_shards = 1});
-  dispatcher.set_frame_recycler(server.frame_recycler());
-
   const auto make_cells = [&](std::size_t i) {
     std::vector<std::uint32_t> cells(config.cms_params.cells());
     for (std::size_t c = 0; c < cells.size(); ++c)
@@ -732,47 +778,88 @@ TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
     return cells;
   };
 
-  ClientReactor reactor({.shards = 2});
-  auto control = reactor.open("127.0.0.1", server.port());
-  server::RemoteBackend remote(*control, config);
-  remote.begin_round(/*round=*/7, kReporters);
+  const auto run_swarm = [&](bool use_mux) {
+    server::BackendCluster cluster(config, 2);
+    server::BackendEndpoint endpoint(cluster, /*serve_control=*/true);
+    server::AsyncDispatcher dispatcher(
+        [&](std::span<const std::uint8_t> frame) {
+          return endpoint.handle(frame);
+        },
+        /*lanes=*/2, server::cluster_lane_router(cluster),
+        server::control_plane_barrier(),
+        {.max_lane_depth = 4096, .counters = &endpoint.counters()});
+    // The per-connection run opens every socket in one burst: size the
+    // accept backlog to it (a dropped SYN costs a 1 s retransmit).
+    FrameServer server(dispatcher.handler(),
+                       {.backlog = static_cast<int>(kReporters + 8),
+                        .reactor_shards = 1});
+    dispatcher.set_frame_recycler(server.frame_recycler());
 
-  auto channel = reactor.open_mux("127.0.0.1", server.port());
-  std::vector<std::shared_ptr<MuxStream>> streams;
-  streams.reserve(kReporters);
-  for (std::size_t i = 0; i < kReporters; ++i)
-    streams.push_back(channel->open_stream());
+    ClientReactor reactor({.shards = 2});
+    auto control = reactor.open("127.0.0.1", server.port());
+    server::RemoteBackend remote(*control, config);
+    remote.begin_round(/*round=*/7, kReporters);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t done = 0;
-  std::atomic<std::size_t> acked{0};
-  for (std::size_t i = 0; i < kReporters; ++i) {
-    const auto frame = BlindedReport{
-        .participant = static_cast<std::uint32_t>(i),
-        .params = config.cms_params,
-        .cells = make_cells(i)}
-                           .encode(/*round=*/7);
-    streams[i]->exchange_async(frame, [&](AsyncResult r) {
-      if (r.ok()) {
-        try {
-          (void)expect_reply(r.reply, MsgKind::kAck);
-          acked.fetch_add(1, std::memory_order_relaxed);
-        } catch (const ProtoError&) {
+    std::vector<std::shared_ptr<AsyncTransport>> reporters;
+    reporters.reserve(kReporters);
+    std::shared_ptr<MuxChannel> channel;
+    if (use_mux) channel = reactor.open_mux("127.0.0.1", server.port());
+    for (std::size_t i = 0; i < kReporters; ++i) {
+      if (use_mux)
+        reporters.push_back(channel->open_stream());
+      else
+        reporters.push_back(reactor.open("127.0.0.1", server.port()));
+    }
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t done = 0;
+    std::atomic<std::size_t> acked{0};
+    for (std::size_t i = 0; i < kReporters; ++i) {
+      const auto frame = BlindedReport{
+          .participant = static_cast<std::uint32_t>(i),
+          .params = config.cms_params,
+          .cells = make_cells(i)}
+                             .encode(/*round=*/7);
+      reporters[i]->exchange_async(frame, [&](AsyncResult r) {
+        if (r.ok()) {
+          try {
+            (void)expect_reply(r.reply, MsgKind::kAck);
+            acked.fetch_add(1, std::memory_order_relaxed);
+          } catch (const ProtoError&) {
+          }
         }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == kReporters; });
-  }
-  EXPECT_EQ(acked.load(), kReporters);
-  EXPECT_TRUE(remote.missing_participants().empty());
-  const server::RoundResult got = remote.finalize_round();
+        std::lock_guard<std::mutex> lock(mu);
+        ++done;
+        cv.notify_one();
+      });
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return done == kReporters; });
+    }
+    EXPECT_EQ(acked.load(), kReporters);
+    EXPECT_TRUE(remote.missing_participants().empty());
+    server::RoundResult got = remote.finalize_round();
+
+    const FrameServerStats ss = server.stats();
+    if (use_mux) {
+      EXPECT_EQ(ss.reactor.connections_accepted, 2u)
+          << "control + one mux socket, nothing per reporter";
+      EXPECT_EQ(ss.reactor.mux_connections, 1u);
+    } else {
+      EXPECT_EQ(ss.reactor.connections_accepted, kReporters + 1)
+          << "control + one socket per reporter";
+      EXPECT_EQ(ss.reactor.mux_connections, 0u);
+    }
+    EXPECT_EQ(ss.reactor.streams_shed, 0u);
+    EXPECT_EQ(endpoint.counters().shed_ingest.load(), 0u);
+    EXPECT_EQ(endpoint.counters().reports_accepted.load(), kReporters);
+    return got;
+  };
+
+  const server::RoundResult mux = run_swarm(/*use_mux=*/true);
+  const server::RoundResult per_connection = run_swarm(/*use_mux=*/false);
 
   server::BackendCluster reference(config, 2);
   reference.begin_round(/*round=*/7, kReporters);
@@ -780,22 +867,9 @@ TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
     reference.submit_report(i, make_cells(i));
   const server::RoundResult want = reference.finalize_round();
 
-  const auto want_cells = want.aggregate.cells();
-  const auto got_cells = got.aggregate.cells();
-  ASSERT_EQ(want_cells.size(), got_cells.size());
-  for (std::size_t c = 0; c < want_cells.size(); ++c)
-    ASSERT_EQ(want_cells[c], got_cells[c]) << "cell " << c;
-  EXPECT_EQ(want.users_threshold, got.users_threshold);
-  EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
-  EXPECT_EQ(got.reports, kReporters);
-
-  const FrameServerStats ss = server.stats();
-  EXPECT_EQ(ss.reactor.connections_accepted, 2u)
-      << "control + one mux socket, nothing per reporter";
-  EXPECT_EQ(ss.reactor.mux_connections, 1u);
-  EXPECT_EQ(ss.reactor.streams_shed, 0u);
-  EXPECT_EQ(endpoint.counters().shed_ingest.load(), 0u);
-  EXPECT_EQ(endpoint.counters().reports_accepted.load(), kReporters);
+  expect_identical(want, mux, "mux vs in-process");
+  expect_identical(per_connection, mux, "mux vs per-connection");
+  EXPECT_EQ(mux.reports, kReporters);
 }
 
 }  // namespace

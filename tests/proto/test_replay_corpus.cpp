@@ -144,7 +144,9 @@ TEST_F(ReplayCorpusTest, MuxTransitCannotLaunderAReplay) {
   // reproduce the version-1 bytes exactly — otherwise a replayed report
   // arriving via a mux connection would hash differently and slip past
   // byte-identical replay detection. Corpus entry: the same report, once
-  // direct and once through an add_stream/strip_stream transit.
+  // direct and once through the transforms a mux transit really runs —
+  // the client's one-pass prefix + stream wrap, then the server's
+  // in-place strip of the frame its assembler cut out of the stream.
   ASSERT_EQ(kind_of(endpoint_.handle(
                 proto::BeginRound{.roster = kRoster}.encode(kRound))),
             proto::MsgKind::kAck);
@@ -154,8 +156,10 @@ TEST_F(ReplayCorpusTest, MuxTransitCannotLaunderAReplay) {
                           .encode(kRound);
   ASSERT_EQ(kind_of(endpoint_.handle(report)), proto::MsgKind::kAck);
 
-  const auto transited =
-      proto::strip_stream(proto::add_stream(report, /*stream=*/12)).frame;
+  std::vector<std::uint8_t> wire = report;
+  proto::mux_frame_with_prefix_inplace(wire, /*stream=*/12);
+  std::vector<std::uint8_t> transited(wire.begin() + 4, wire.end());
+  ASSERT_EQ(proto::strip_stream_inplace(transited), 12u);
   ASSERT_EQ(transited, report);
   expect_replay_refused(transited, "mux-transited replay");
 }

@@ -1,7 +1,10 @@
-// The socket transport binding: length framing, partial-read robustness
-// (truncation at every byte boundary of a framed reply), oversized-length
-// rejection before allocation on both ends, peer disconnects during every
-// round phase, and fault-plan parity — the same FaultInjectingTransport
+// The socket transport binding, driven through the one client this repo
+// has — a ClientChannel behind SyncTransportAdapter: length framing,
+// byte accounting on both ends, partial-read robustness (truncation at
+// every byte boundary of a framed reply), oversized-length rejection
+// before allocation on both ends, connect-attempt exhaustion, peer
+// disconnects during every round phase (sync and pipelined
+// RemoteBackend), and fault-plan parity — the same FaultInjectingTransport
 // plan must surface the same ErrorCode over TCP as over loopback, because
 // the transports are supposed to be observationally interchangeable.
 #include <gtest/gtest.h>
@@ -12,11 +15,14 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
+#include <chrono>
 #include <functional>
+#include <memory>
 #include <thread>
 
+#include "proto/client_reactor.hpp"
 #include "proto/message.hpp"
+#include "proto/raw_frame_io.hpp"
 #include "proto/tcp.hpp"
 #include "proto/transport.hpp"
 #include "server/backend.hpp"
@@ -51,51 +57,6 @@ ErrorCode code_of(const std::function<void()>& fn) {
     return e.code();
   }
   return ErrorCode::kOk;
-}
-
-std::vector<std::uint8_t> with_prefix(std::span<const std::uint8_t> frame) {
-  std::vector<std::uint8_t> out(4 + frame.size());
-  const auto len = static_cast<std::uint32_t>(frame.size());
-  for (int i = 0; i < 4; ++i)
-    out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(len >> (8 * i));
-  std::memcpy(out.data() + 4, frame.data(), frame.size());
-  return out;
-}
-
-void send_raw(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0 && errno == EINTR) continue;
-    ASSERT_GT(n, 0);
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-/// Read one length-framed message off a blocking socket; empty on EOF at a
-/// frame boundary.
-std::vector<std::uint8_t> read_framed(int fd) {
-  std::uint8_t prefix[4];
-  std::size_t got = 0;
-  while (got < 4) {
-    const ssize_t n = ::recv(fd, prefix + got, 4 - got, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return {};
-    got += static_cast<std::size_t>(n);
-  }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
-  std::vector<std::uint8_t> frame(len);
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::recv(fd, frame.data() + off, len - off, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return {};
-    off += static_cast<std::size_t>(n);
-  }
-  return frame;
 }
 
 /// A deliberately misbehaving server: accepts connections sequentially and
@@ -153,20 +114,40 @@ void wait_idle(const FrameServer& server) {
   EXPECT_EQ(server.active_connections(), 0u);
 }
 
-TcpOptions fast_options() {
+ClientReactorOptions fast_options() {
   // Tight timeouts so failure-path tests do not stall the suite.
-  return {.connect_timeout = std::chrono::milliseconds(1'000),
+  return {.shards = 1,
+          .connect_timeout = std::chrono::milliseconds(1'000),
           .io_timeout = std::chrono::milliseconds(2'000),
           .connect_attempts = 3,
           .connect_backoff = std::chrono::milliseconds(10)};
 }
 
-TEST(TcpTransport, ExchangeRoundTripAndBothSidesCountFrameBytes) {
+/// A blocking client built the way every blocking caller builds one: a
+/// ClientChannel on its own reactor behind a SyncTransportAdapter.
+struct SyncClient {
+  explicit SyncClient(std::uint16_t port)
+      : reactor(fast_options()),
+        channel(reactor.open("127.0.0.1", port)),
+        link(*channel) {}
+
+  /// Connections the channel has opened so far. A broken stream is never
+  /// reused, so each exchange after a failure shows up here as one more.
+  [[nodiscard]] std::uint64_t connects() const {
+    return reactor.counters().connects_established;
+  }
+
+  ClientReactor reactor;
+  std::shared_ptr<ClientChannel> channel;
+  SyncTransportAdapter link;
+};
+
+TEST(TcpClient, ExchangeRoundTripAndBothSidesCountFrameBytes) {
   FrameServer server([](std::span<const std::uint8_t> frame) {
     (void)decode_envelope(frame);  // must be a valid envelope
     return encode_ack();
   });
-  TcpTransport client("127.0.0.1", server.port(), fast_options());
+  SyncClient client(server.port());
 
   const auto request = BlindedReport{.participant = 1,
                                      .params = kParams,
@@ -174,37 +155,45 @@ TEST(TcpTransport, ExchangeRoundTripAndBothSidesCountFrameBytes) {
                            .encode(/*round=*/0);
   const auto ack = encode_ack();
   for (int i = 0; i < 3; ++i) {
-    const auto reply = client.exchange(request);
+    const auto reply = client.link.exchange(request);
     EXPECT_NO_THROW((void)expect_reply(reply, MsgKind::kAck));
   }
+  EXPECT_EQ(client.connects(), 1u) << "one connection carries every exchange";
 
   // TransportStats count envelope bytes only — identical on both sides,
-  // with the 4-byte prefix invisible (it is transport framing).
-  EXPECT_EQ(client.stats().messages_sent, 3u);
-  EXPECT_EQ(client.stats().bytes_sent, 3 * request.size());
-  EXPECT_EQ(client.stats().bytes_received, 3 * ack.size());
-  client.close();
+  // with the 4-byte prefix invisible (it is transport framing). The
+  // adapter and the channel under it keep the same books.
+  const TransportStats link_stats = client.link.stats();
+  EXPECT_EQ(link_stats.messages_sent, 3u);
+  EXPECT_EQ(link_stats.bytes_sent, 3 * request.size());
+  EXPECT_EQ(link_stats.bytes_received, 3 * ack.size());
+  const TransportStats channel_stats = client.channel->stats();
+  EXPECT_EQ(channel_stats.messages_sent, link_stats.messages_sent);
+  EXPECT_EQ(channel_stats.bytes_sent, link_stats.bytes_sent);
+  EXPECT_EQ(channel_stats.bytes_received, link_stats.bytes_received);
+  client.channel->close();
   wait_idle(server);
   const TransportStats server_stats = server.stats();
   EXPECT_EQ(server_stats.messages_received, 3u);
-  EXPECT_EQ(server_stats.bytes_received, client.stats().bytes_sent);
-  EXPECT_EQ(server_stats.bytes_sent, client.stats().bytes_received);
+  EXPECT_EQ(server_stats.bytes_received, link_stats.bytes_sent);
+  EXPECT_EQ(server_stats.bytes_sent, link_stats.bytes_received);
 }
 
-TEST(TcpTransport, EmptyHandlerReplyArrivesAsEmptyFrame) {
+TEST(TcpClient, EmptyHandlerReplyArrivesAsEmptyFrame) {
   // A handler that returns nothing (the loopback "lost response" shape)
   // must surface client-side as an empty reply, not a hang or an error.
   FrameServer server(
       [](std::span<const std::uint8_t>) { return std::vector<std::uint8_t>{}; });
-  TcpTransport client("127.0.0.1", server.port(), fast_options());
-  const auto reply = client.exchange(encode_ack());
+  SyncClient client(server.port());
+  const auto reply = client.link.exchange(encode_ack());
   EXPECT_TRUE(reply.empty());
   EXPECT_THROW((void)expect_reply(reply, MsgKind::kAck), ProtoError);
   // The connection survives an empty reply (it is a legal frame).
-  EXPECT_TRUE(client.connected());
+  EXPECT_TRUE(client.link.exchange(encode_ack()).empty());
+  EXPECT_EQ(client.connects(), 1u);
 }
 
-TEST(TcpTransport, ConnectRetriesThenFailsWithInternal) {
+TEST(TcpClient, ConnectRetriesThenFailsWithInternal) {
   // Nothing listens on this socket's port once it is closed.
   const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
   struct sockaddr_in addr {};
@@ -220,71 +209,76 @@ TEST(TcpTransport, ConnectRetriesThenFailsWithInternal) {
   const std::uint16_t dead_port = ntohs(addr.sin_port);
   ::close(probe);
 
-  TcpTransport client("127.0.0.1", dead_port, fast_options());
-  EXPECT_EQ(code_of([&] { (void)client.exchange(encode_ack()); }),
+  SyncClient client(dead_port);
+  EXPECT_EQ(code_of([&] { (void)client.link.exchange(encode_ack()); }),
             ErrorCode::kInternal);
+  // Every one of the three attempts ran, two of them after a backoff.
+  const ClientReactorCounters counters = client.reactor.counters();
+  EXPECT_EQ(counters.connects_attempted, 3u);
+  EXPECT_EQ(counters.connect_retries, 2u);
+  EXPECT_EQ(counters.connects_established, 0u);
 }
 
-TEST(TcpTransport, TruncatedReplyAtEveryByteBoundary) {
+TEST(TcpClient, TruncatedReplyAtEveryByteBoundary) {
   const auto ack = encode_ack();
-  const auto framed = with_prefix(ack);
+  const auto framed = raw::with_prefix(ack);
   std::atomic<std::size_t> cut{0};
   RawServer server([&](int fd) {
-    (void)read_framed(fd);  // consume the request
+    (void)raw::read_framed(fd);  // consume the request
     const std::size_t keep = cut.load();
-    send_raw(fd, std::span<const std::uint8_t>(framed.data(), keep));
+    EXPECT_TRUE(raw::send_all(
+        fd, std::span<const std::uint8_t>(framed.data(), keep)));
     // close() in RawServer truncates the stream at `keep` bytes.
   });
 
+  SyncClient client(server.port());
   for (std::size_t keep = 0; keep < framed.size(); ++keep) {
     cut.store(keep);
-    TcpTransport client("127.0.0.1", server.port(), fast_options());
     if (keep == 0) {
       // EOF before any reply byte: the response is lost, not the framing
       // broken — empty reply, same as FaultPlan::kDropResponse.
-      EXPECT_TRUE(client.exchange(ack).empty()) << "keep=" << keep;
+      EXPECT_TRUE(client.link.exchange(ack).empty()) << "keep=" << keep;
     } else {
       // EOF mid-prefix or mid-body: kTruncated, never a hang or a bogus
       // frame.
-      EXPECT_EQ(code_of([&] { (void)client.exchange(ack); }),
+      EXPECT_EQ(code_of([&] { (void)client.link.exchange(ack); }),
                 ErrorCode::kTruncated)
           << "keep=" << keep;
     }
-    EXPECT_FALSE(client.connected());  // broken stream is never reused
+    // A broken stream is never reused: every exchange opened its own.
+    EXPECT_EQ(client.connects(), keep + 1) << "keep=" << keep;
   }
 
   // The unmutilated reply still decodes.
   cut.store(framed.size());
-  TcpTransport client("127.0.0.1", server.port(), fast_options());
-  EXPECT_NO_THROW((void)expect_reply(client.exchange(ack), MsgKind::kAck));
+  EXPECT_NO_THROW(
+      (void)expect_reply(client.link.exchange(ack), MsgKind::kAck));
 }
 
-TEST(TcpTransport, OversizedReplyLengthRejectedBeforeAllocation) {
+TEST(TcpClient, OversizedReplyLengthRejectedBeforeAllocation) {
   RawServer server([&](int fd) {
-    (void)read_framed(fd);
+    (void)raw::read_framed(fd);
     const std::uint8_t huge[4] = {0xff, 0xff, 0xff, 0xff};  // 4 GB declared
-    send_raw(fd, huge);
+    EXPECT_TRUE(raw::send_all(fd, huge));
   });
-  TcpTransport client("127.0.0.1", server.port(), fast_options());
-  EXPECT_EQ(code_of([&] { (void)client.exchange(encode_ack()); }),
-            ErrorCode::kOversized);
-  EXPECT_FALSE(client.connected());
+  SyncClient client(server.port());
+  for (std::uint64_t attempt = 1; attempt <= 2; ++attempt) {
+    EXPECT_EQ(code_of([&] { (void)client.link.exchange(encode_ack()); }),
+              ErrorCode::kOversized);
+    // The stream past an unread body is unsynchronizable: the next
+    // exchange must open a fresh connection.
+    EXPECT_EQ(client.connects(), attempt);
+  }
 }
 
 TEST(FrameServer, OversizedRequestLengthAnsweredWithErrorThenClosed) {
   FrameServer server(
       [](std::span<const std::uint8_t>) { return encode_ack(); });
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  struct sockaddr_in addr {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int fd = raw::connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
   const std::uint8_t huge[4] = {0xff, 0xff, 0xff, 0xff};
-  send_raw(fd, huge);
-  const auto reply = read_framed(fd);
+  ASSERT_TRUE(raw::send_all(fd, huge));
+  const auto reply = raw::read_framed(fd);
   ASSERT_FALSE(reply.empty());
   EXPECT_EQ(code_of([&] { (void)expect_reply(reply, MsgKind::kAck); }),
             ErrorCode::kOversized);
@@ -300,16 +294,10 @@ TEST(FrameServer, StalledMidFrameConnectionDroppedAfterIoTimeout) {
   // io_timeout expires — it cannot pin a connection slot forever.
   FrameServer server([](std::span<const std::uint8_t>) { return encode_ack(); },
                      {.io_timeout = std::chrono::milliseconds(150)});
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  struct sockaddr_in addr {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int fd = raw::connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
   const std::uint8_t partial[2] = {0x01, 0x00};  // 2 of 4 prefix bytes
-  send_raw(fd, partial);
+  ASSERT_TRUE(raw::send_all(fd, partial));
   // ... then stall. The server must close the connection; recv observes
   // EOF well before the test times out.
   std::uint8_t byte = 0;
@@ -323,16 +311,10 @@ TEST(FrameServer, DrippingFrameBodyDroppedAtAbsoluteDeadline) {
   // deadline is absolute per frame: the drip must not extend it.
   FrameServer server([](std::span<const std::uint8_t>) { return encode_ack(); },
                      {.io_timeout = std::chrono::milliseconds(250)});
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  struct sockaddr_in addr {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int fd = raw::connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
   const std::uint8_t prefix[4] = {50, 0, 0, 0};  // declare a 50-byte body
-  send_raw(fd, prefix);
+  ASSERT_TRUE(raw::send_all(fd, prefix));
   int sent = 0;
   for (; sent < 50; ++sent) {
     std::uint8_t probe = 0;
@@ -354,21 +336,23 @@ TEST(FrameServer, MalformedEnvelopeBytesAnsweredWithErrorFrame) {
   FrameServer server([&](std::span<const std::uint8_t> frame) {
     return endpoint.handle(frame);
   });
-  TcpTransport client("127.0.0.1", server.port(), fast_options());
+  SyncClient client(server.port());
   const std::vector<std::uint8_t> garbage{0xde, 0xad, 0xbe, 0xef};
-  EXPECT_EQ(code_of([&] {
-              (void)expect_reply(client.exchange(garbage), MsgKind::kAck);
-            }),
-            ErrorCode::kBadMagic);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(code_of([&] {
+                (void)expect_reply(client.link.exchange(garbage),
+                                   MsgKind::kAck);
+              }),
+              ErrorCode::kBadMagic);
   // The connection stays usable — a decode failure is an answered error,
   // not a framing violation.
-  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(client.connects(), 1u);
 }
 
 /// The parity check: the same FaultInjectingTransport plan must produce
 /// the same observable ErrorCode whether the inner transport is loopback
 /// or a real socket.
-TEST(TcpTransport, FaultPlanParityWithLoopback) {
+TEST(TcpClient, FaultPlanParityWithLoopback) {
   const BlindedReport report{
       .participant = 0, .params = kParams, .cells = sample_cells()};
   const auto frame = report.encode(0);
@@ -401,8 +385,8 @@ TEST(TcpTransport, FaultPlanParityWithLoopback) {
     FrameServer server([&](std::span<const std::uint8_t> f) {
       return tcp_endpoint.handle(f);
     });
-    TcpTransport tcp("127.0.0.1", server.port(), fast_options());
-    FaultInjectingTransport faulty_tcp(tcp, plan);
+    SyncClient tcp(server.port());
+    FaultInjectingTransport faulty_tcp(tcp.link, plan);
     const ErrorCode got = code_of([&] {
       (void)expect_reply(faulty_tcp.exchange(frame), MsgKind::kAck);
     });
@@ -417,45 +401,53 @@ TEST(TcpTransport, FaultPlanParityWithLoopback) {
 
 /// Peer disconnect during every phase of a full round: a server that dies
 /// after its nth reply must surface as ProtoError on the operator side —
-/// in whichever phase the cut lands — never as a hang or a bogus result.
-TEST(TcpTransport, PeerDisconnectDuringEachRoundPhase) {
+/// in whichever phase the cut lands, through a sync RemoteBackend (the
+/// call that was cut throws) and a pipelined one (the next barrier
+/// throws) — never as a hang or a bogus result.
+TEST(TcpClient, PeerDisconnectDuringEachRoundPhase) {
   using client::BrowserExtension;
   const std::size_t n_clients = 4;
   // Exchange sequence of a full round over the control plane:
   //   0: begin-round, 1..4: reports, 5: missing-query, 6: finalize.
   const std::size_t cuts[] = {0, 2, 5, 6};
 
-  for (const std::size_t cut : cuts) {
-    server::BackendCluster cluster(small_config(), 2);
-    server::BackendEndpoint endpoint(cluster, /*serve_control=*/true);
-    std::atomic<std::size_t> served{0};
-    RawServer server([&](int fd) {
-      for (;;) {
-        const auto request = read_framed(fd);
-        if (request.empty()) return;
-        if (served.fetch_add(1) == cut) return;  // die without replying
-        const auto reply = endpoint.handle(request);
-        send_raw(fd, with_prefix(reply));
-      }
-    });
+  for (const bool pipelined : {false, true}) {
+    for (const std::size_t cut : cuts) {
+      server::BackendCluster cluster(small_config(), 2);
+      server::BackendEndpoint endpoint(cluster, /*serve_control=*/true);
+      std::atomic<std::size_t> served{0};
+      RawServer server([&](int fd) {
+        for (;;) {
+          const auto request = raw::read_framed(fd);
+          if (request.empty()) return;
+          if (served.fetch_add(1) == cut) return;  // die without replying
+          const auto reply = endpoint.handle(request);
+          if (!raw::send_all(fd, raw::with_prefix(reply))) return;
+        }
+      });
 
-    client::HashUrlMapper mapper(small_config().id_space);
-    const client::ExtensionConfig ecfg{
-        .detector = {},
-        .cms_params = kParams,
-        .cms_hash_seed = small_config().cms_hash_seed};
-    std::vector<BrowserExtension> exts;
-    for (std::size_t u = 0; u < n_clients; ++u)
-      exts.emplace_back(static_cast<core::UserId>(u), ecfg, mapper);
+      client::HashUrlMapper mapper(small_config().id_space);
+      const client::ExtensionConfig ecfg{
+          .detector = {},
+          .cms_params = kParams,
+          .cms_hash_seed = small_config().cms_hash_seed};
+      std::vector<BrowserExtension> exts;
+      for (std::size_t u = 0; u < n_clients; ++u)
+        exts.emplace_back(static_cast<core::UserId>(u), ecfg, mapper);
 
-    util::Rng rng(4096);
-    const crypto::DhGroup group = crypto::DhGroup::generate(rng, 128);
-    TcpTransport link("127.0.0.1", server.port(), fast_options());
-    server::RemoteBackend remote(link, small_config());
-    server::RoundCoordinator coordinator(
-        group, std::span<BrowserExtension>(exts), remote, /*seed=*/7);
-    EXPECT_THROW((void)coordinator.run_full_round(0), ProtoError)
-        << "cut=" << cut;
+      util::Rng rng(4096);
+      const crypto::DhGroup group = crypto::DhGroup::generate(rng, 128);
+      SyncClient link(server.port());
+      std::unique_ptr<server::RemoteBackend> remote =
+          pipelined ? std::make_unique<server::RemoteBackend>(*link.channel,
+                                                              small_config())
+                    : std::make_unique<server::RemoteBackend>(link.link,
+                                                              small_config());
+      server::RoundCoordinator coordinator(
+          group, std::span<BrowserExtension>(exts), *remote, /*seed=*/7);
+      EXPECT_THROW((void)coordinator.run_full_round(0), ProtoError)
+          << "cut=" << cut << " pipelined=" << pipelined;
+    }
   }
 }
 

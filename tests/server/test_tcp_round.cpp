@@ -3,18 +3,26 @@
 // to the same round over in-process loopback — aggregate cells, #Users
 // distribution, and Users_th — and the byte totals each side's transport
 // accounting reports must equal the sum of encoded envelope bytes that
-// crossed the socket.
+// crossed the socket. The same holds with the write-ahead journal in
+// front of the cluster, in every durability mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+
+#include <stdlib.h>
 
 #include "client/url_mapper.hpp"
 #include "proto/client_reactor.hpp"
 #include "proto/tcp.hpp"
 #include "server/cluster.hpp"
 #include "server/dispatcher.hpp"
+#include "server/durable_backend.hpp"
 #include "server/endpoint.hpp"
 #include "server/remote_backend.hpp"
 #include "server/round.hpp"
@@ -53,6 +61,18 @@ std::vector<client::BrowserExtension> make_fleet(client::UrlMapper& mapper,
   exts[0].observe_ad("https://rare.test", 3, 0);
   return exts;
 }
+
+/// A blocking client: a ClientChannel behind SyncTransportAdapter, so a
+/// RemoteBackend over `link` runs in its sync mode (one round trip per
+/// call).
+struct SyncLink {
+  explicit SyncLink(std::uint16_t port)
+      : channel(reactor.open("127.0.0.1", port)), link(*channel) {}
+
+  proto::ClientReactor reactor{proto::ClientReactorOptions{.shards = 1}};
+  std::shared_ptr<proto::ClientChannel> channel;
+  proto::SyncTransportAdapter link;
+};
 
 /// Pass-through wrapper recording every frame size independently of the
 /// Transport base-class stats, so "stats == sum of encoded frame bytes"
@@ -95,8 +115,8 @@ TEST(TcpRound, FullRoundBitIdenticalToLoopbackAndBytesAccounted) {
   proto::FrameServer server([&](std::span<const std::uint8_t> frame) {
     return endpoint.handle(frame);
   });
-  proto::TcpTransport link("127.0.0.1", server.port());
-  RecordingTransport recorded(link);
+  SyncLink tcp(server.port());
+  RecordingTransport recorded(tcp.link);
   RemoteBackend remote(recorded, backend_config());
   auto exts_tcp = make_fleet(mapper, 6);
   RoundCoordinator live(group(),
@@ -119,12 +139,12 @@ TEST(TcpRound, FullRoundBitIdenticalToLoopbackAndBytesAccounted) {
   // encoded frames the round moved (independent recorder), and the
   // server's view mirrors them exactly — nothing lost, nothing invented
   // by the length framing.
-  link.close();
+  tcp.channel->close();
   for (int i = 0; i < 2'000 && server.active_connections() != 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_EQ(server.active_connections(), 0u);
 
-  const proto::TransportStats& client_stats = link.stats();
+  const proto::TransportStats& client_stats = tcp.link.stats();
   const proto::TransportStats server_stats = server.stats();
   EXPECT_GT(recorded.request_bytes, 0u);
   EXPECT_EQ(client_stats.bytes_sent, recorded.request_bytes);
@@ -164,8 +184,8 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncDispatcherAndShards) {
                             {.reactor_shards = 3});
   dispatcher.set_frame_recycler(server.frame_recycler());
   EXPECT_EQ(server.shards(), 3u);
-  proto::TcpTransport link("127.0.0.1", server.port());
-  RemoteBackend remote(link, backend_config());
+  SyncLink tcp(server.port());
+  RemoteBackend remote(tcp.link, backend_config());
   auto exts_tcp = make_fleet(mapper, 6);
   RoundCoordinator live(group(),
                         std::span<client::BrowserExtension>(exts_tcp),
@@ -182,13 +202,13 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncDispatcherAndShards) {
   EXPECT_EQ(want.reports, got.reports);
   EXPECT_EQ(want.roster, got.roster);
 
-  link.close();
+  tcp.channel->close();
   for (int i = 0; i < 2'000 && server.active_connections() != 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const proto::TransportStats server_stats = server.stats();
-  EXPECT_EQ(server_stats.messages_received, link.stats().messages_sent);
-  EXPECT_EQ(server_stats.bytes_received, link.stats().bytes_sent);
-  EXPECT_EQ(server_stats.bytes_sent, link.stats().bytes_received);
+  EXPECT_EQ(server_stats.messages_received, tcp.link.stats().messages_sent);
+  EXPECT_EQ(server_stats.bytes_received, tcp.link.stats().bytes_sent);
+  EXPECT_EQ(server_stats.bytes_sent, tcp.link.stats().bytes_received);
   EXPECT_EQ(dispatcher.pending(), 0u);
 }
 
@@ -209,8 +229,8 @@ TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
   ASSERT_EQ(one_lane.lanes(), 1u);
   proto::FrameServer one_server(one_lane.handler(), {.reactor_shards = 1});
   one_lane.set_frame_recycler(one_server.frame_recycler());
-  proto::TcpTransport one_link("127.0.0.1", one_server.port());
-  RemoteBackend one_remote(one_link, backend_config());
+  SyncLink one_link(one_server.port());
+  RemoteBackend one_remote(one_link.link, backend_config());
   auto exts_one = make_fleet(mapper, 6);
   RoundCoordinator one_coord(group(),
                              std::span<client::BrowserExtension>(exts_one),
@@ -230,8 +250,8 @@ TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
   proto::FrameServer sharded_server(sharded.handler(),
                                     {.reactor_shards = 2});
   sharded.set_frame_recycler(sharded_server.frame_recycler());
-  proto::TcpTransport sharded_link("127.0.0.1", sharded_server.port());
-  RemoteBackend sharded_remote(sharded_link, backend_config());
+  SyncLink sharded_link(sharded_server.port());
+  RemoteBackend sharded_remote(sharded_link.link, backend_config());
   auto exts_sharded = make_fleet(mapper, 6);
   RoundCoordinator sharded_coord(
       group(), std::span<client::BrowserExtension>(exts_sharded),
@@ -304,6 +324,79 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncClientChannel) {
   EXPECT_EQ(server_stats.messages_received, client_stats.messages_sent);
 }
 
+TEST(TcpRound, JournalModesFinalizeIdenticalWithJournalIoOnTheWriter) {
+  // The same round over TCP through a lane-sharded AsyncDispatcher, with
+  // the write-ahead journal off, in group commit, and fsync-per-submit:
+  // every mode must finalize bit-identical to loopback (so the three
+  // agree with each other), and no journal I/O may run off the writer
+  // thread — the dispatcher lanes only enqueue.
+  client::HashUrlMapper mapper(backend_config().id_space);
+  constexpr std::size_t kFleet = 16;
+  std::vector<std::size_t> reporting;
+  for (std::size_t i = 0; i < kFleet; ++i)
+    if (i % 7 != 2) reporting.push_back(i);  // two dark: adjustments run
+
+  BackendCluster loop_cluster(backend_config(), 2);
+  auto exts_loop = make_fleet(mapper, kFleet);
+  RoundCoordinator ref(group(),
+                       std::span<client::BrowserExtension>(exts_loop),
+                       loop_cluster, /*seed=*/79);
+  const RoundResult want = ref.run_round(0, reporting);
+
+  enum class Journal { kOff, kGroupCommit, kSyncEachSubmit };
+  for (const Journal mode :
+       {Journal::kOff, Journal::kGroupCommit, Journal::kSyncEachSubmit}) {
+    SCOPED_TRACE("journal mode " + std::to_string(static_cast<int>(mode)));
+    char tmpl[] = "eyw-tcp-round-journal.XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string journal_dir = tmpl;
+    {
+      BackendCluster cluster(backend_config(), 2);
+      DurabilityConfig durability;
+      durability.dir = journal_dir;
+      durability.sync_each_submit = mode == Journal::kSyncEachSubmit;
+      std::optional<DurableBackend> durable;
+      if (mode != Journal::kOff) durable.emplace(cluster, durability);
+      BackendEndpoint endpoint(
+          durable ? static_cast<RoundBackend&>(*durable)
+                  : static_cast<RoundBackend&>(cluster),
+          &cluster, /*serve_control=*/true);
+      AsyncDispatcher dispatcher(
+          [&](std::span<const std::uint8_t> frame) {
+            return endpoint.handle(frame);
+          },
+          /*lanes=*/2, cluster_lane_router(cluster), control_plane_barrier());
+      proto::FrameServer server(dispatcher.handler(), {.reactor_shards = 2});
+      dispatcher.set_frame_recycler(server.frame_recycler());
+
+      proto::ClientReactor reactor({.shards = 1});
+      auto channel = reactor.open("127.0.0.1", server.port());
+      RemoteBackend remote(*channel, backend_config());  // pipelined mode
+      auto exts = make_fleet(mapper, kFleet);
+      RoundCoordinator live(group(), std::span<client::BrowserExtension>(exts),
+                            remote, /*seed=*/79);
+      const RoundResult got = live.run_round(0, reporting);
+
+      const auto want_cells = want.aggregate.cells();
+      const auto got_cells = got.aggregate.cells();
+      ASSERT_EQ(want_cells.size(), got_cells.size());
+      for (std::size_t i = 0; i < want_cells.size(); ++i)
+        ASSERT_EQ(want_cells[i], got_cells[i]) << "cell " << i;
+      EXPECT_EQ(want.distribution.histogram(), got.distribution.histogram());
+      EXPECT_EQ(want.users_threshold, got.users_threshold);
+      EXPECT_EQ(want.reports, got.reports);
+
+      if (durable) {
+        const storage::DurabilityStats stats = durable->stats();
+        EXPECT_GT(stats.records, 0u);
+        EXPECT_EQ(stats.off_writer_io, 0u);
+        durable->shutdown();
+      }
+    }
+    std::filesystem::remove_all(journal_dir);
+  }
+}
+
 TEST(TcpRound, IdSpaceAboveFourMillionFinalizesOverTcp) {
   // Regression: the summary used to carry one f64 per id with a non-zero
   // estimate. With every cell non-zero, so is every id of a 2^22 + 1 id
@@ -332,8 +425,8 @@ TEST(TcpRound, IdSpaceAboveFourMillionFinalizesOverTcp) {
   proto::FrameServer server([&](std::span<const std::uint8_t> frame) {
     return endpoint.handle(frame);
   });
-  proto::TcpTransport link("127.0.0.1", server.port());
-  RecordingTransport recorded(link);
+  SyncLink tcp(server.port());
+  RecordingTransport recorded(tcp.link);
   RemoteBackend remote(recorded, config);
   remote.begin_round(0, kRoster);
   for (std::size_t i = 0; i < kRoster; ++i) remote.submit_report(i, cells(i));
@@ -387,8 +480,8 @@ TEST(TcpRound, ControlPlaneRefusedWithoutOptIn) {
   proto::FrameServer server([&](std::span<const std::uint8_t> frame) {
     return endpoint.handle(frame);
   });
-  proto::TcpTransport link("127.0.0.1", server.port());
-  RemoteBackend remote(link, backend_config());
+  SyncLink tcp(server.port());
+  RemoteBackend remote(tcp.link, backend_config());
   try {
     remote.begin_round(0, 4);
     FAIL() << "control message accepted by ingest-only endpoint";
@@ -407,15 +500,15 @@ TEST(TcpRound, OprfMapperBootstrapsAndMatchesInProcessMapping) {
     return endpoint.handle(frame);
   });
 
-  proto::TcpTransport link("127.0.0.1", server.port());
+  SyncLink tcp(server.port());
   const proto::OprfKeyAnswer key = proto::OprfKeyAnswer::decode(
-      proto::expect_reply(link.exchange(proto::encode_oprf_key_query()),
+      proto::expect_reply(tcp.link.exchange(proto::encode_oprf_key_query()),
                           proto::MsgKind::kOprfKeyAnswer));
   EXPECT_EQ(key.n, oprf.public_key().n);
   EXPECT_EQ(key.e, oprf.public_key().e);
 
   client::OprfUrlMapper remote_mapper(
-      link, crypto::RsaPublicKey{.n = key.n, .e = key.e},
+      tcp.link, crypto::RsaPublicKey{.n = key.n, .e = key.e},
       /*id_space=*/10'000, /*rng_seed=*/11);
   client::OprfUrlMapper local_mapper(oprf, /*id_space=*/10'000,
                                      /*rng_seed=*/22);
