@@ -29,7 +29,8 @@
 
 #include "core/global_view.hpp"
 #include "proto/client_reactor.hpp"
-#include "scenario/harness.hpp"
+#include "scenario/scenario.hpp"
+#include "server/deployment.hpp"
 #include "server/remote_backend.hpp"
 #include "server/round.hpp"
 #include "simulator/engine.hpp"
@@ -111,21 +112,21 @@ int main(int argc, char** argv) {
 
   // Declaration order fixes teardown order: the RemoteBackend flushes its
   // pipelined acks while the channel is alive, the reactor closes its
-  // sockets while the server still answers, then the harness stops.
+  // sockets while the server still answers, then the deployment stops.
   std::optional<server::BackendServer> local;
-  std::optional<scenario::ServerHarness> harness;
+  std::optional<server::Deployment> deployment;
   std::optional<proto::ClientReactor> reactor;
   std::shared_ptr<proto::ClientChannel> channel;
   std::optional<server::RemoteBackend> remote;
   server::RoundBackend* backend = nullptr;
   if (socket) {
-    harness.emplace(scenario::HarnessOptions{.config = backend_config});
+    deployment.emplace(server::DeploymentOptions{.config = backend_config});
     reactor.emplace(proto::ClientReactorOptions{.shards = 2});
-    channel = reactor->open("127.0.0.1", harness->port());
+    channel = reactor->open("127.0.0.1", deployment->port());
     remote.emplace(*channel, backend_config);
     backend = &*remote;
     std::printf("transport: socket (server on 127.0.0.1:%u)\n",
-                static_cast<unsigned>(harness->port()));
+                static_cast<unsigned>(deployment->port()));
   } else {
     local.emplace(backend_config);
     backend = &*local;
@@ -170,13 +171,13 @@ int main(int argc, char** argv) {
     std::printf("\nsocket path counters: frames=%llu reports=%llu "
                 "control=%llu refusals=%llu\n",
                 static_cast<unsigned long long>(
-                    scenario::stat(harness->stats_port(), "frames")),
+                    scenario::stat(deployment->stats_port(), "frames")),
                 static_cast<unsigned long long>(scenario::stat(
-                    harness->stats_port(), "reports_accepted")),
+                    deployment->stats_port(), "reports_accepted")),
+                static_cast<unsigned long long>(scenario::stat(
+                    deployment->stats_port(), "control_served")),
                 static_cast<unsigned long long>(
-                    scenario::stat(harness->stats_port(), "control_served")),
-                static_cast<unsigned long long>(
-                    scenario::stat(harness->stats_port(), "refusals")));
+                    scenario::stat(deployment->stats_port(), "refusals")));
   }
 
   std::printf(

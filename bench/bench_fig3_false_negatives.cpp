@@ -24,7 +24,7 @@
 #include "crypto/blinding.hpp"
 #include "crypto/dh.hpp"
 #include "proto/client_reactor.hpp"
-#include "scenario/harness.hpp"
+#include "server/deployment.hpp"
 #include "server/remote_backend.hpp"
 #include "sketch/count_min.hpp"
 #include "util/thread_pool.hpp"
@@ -71,10 +71,9 @@ eyw::core::UsersDistribution socket_users_distribution(
       // Over-estimated |A|, as in the deployed scan (Section 6.1).
       .id_space = static_cast<std::uint64_t>(max_ad) + 64,
       .users_rule = core::ThresholdRule::kMean};
-  scenario::ServerHarness harness(
-      {.config = config, .serve_stats = false});
+  server::Deployment deployment({.config = config});
   proto::ClientReactor reactor({.shards = 2});
-  auto channel = reactor.open("127.0.0.1", harness.port());
+  auto channel = reactor.open("127.0.0.1", deployment.port());
   server::RemoteBackend remote(*channel, config);
 
   util::Rng rng(seed);

@@ -26,8 +26,7 @@
 #include "crypto/blinding.hpp"
 #include "crypto/mont_kernel.hpp"
 #include "proto/client_reactor.hpp"
-#include "proto/tcp.hpp"
-#include "server/endpoint.hpp"
+#include "server/deployment.hpp"
 #include "server/remote_backend.hpp"
 #include "server/round.hpp"
 #include "sketch/count_min.hpp"
@@ -257,12 +256,13 @@ int main(int argc, char** argv) {
                     ? "(== RoundTraffic.total)"
                     : "(MISMATCH vs RoundTraffic!)");
 
-    // Same round again, but the back-end behind a real socket (localhost
-    // TCP via a pipelined RemoteBackend on a ClientReactor channel): the
-    // honest cost of deployment over the loopback simulation. Identical
-    // fleet + coordinator seed, so the result must be bit-identical; the
-    // wire adds the operator control plane (begin/missing/finalize) and
-    // 4 B of length framing per frame.
+    // Same round again, but against the deployed back end — a
+    // server::Deployment reached over localhost TCP by a pipelined
+    // RemoteBackend on a ClientReactor channel: the honest cost of
+    // deployment over the loopback simulation. Identical fleet +
+    // coordinator seed, so the result must be bit-identical; the wire adds
+    // the operator control plane (begin/missing/finalize) and 4 B of
+    // length framing per frame.
     std::vector<client::BrowserExtension> exts_tcp;
     for (core::UserId u = 0; u < 60; ++u) exts_tcp.emplace_back(u, ecfg, mapper);
     for (auto& e : exts_tcp) {
@@ -272,18 +272,14 @@ int main(int argc, char** argv) {
                      static_cast<core::DomainId>(a % 9), 0);
       }
     }
-    server::BackendServer tcp_backend({.cms_params = params,
-                                       .cms_hash_seed = 3,
-                                       .id_space = 10'000,
-                                       .users_rule = core::ThresholdRule::kMean});
-    server::BackendEndpoint endpoint(tcp_backend, /*serve_control=*/true);
-    eyw::proto::FrameServer frame_server(
-        [&](std::span<const std::uint8_t> frame) {
-          return endpoint.handle(frame);
-        });
+    server::Deployment deployment(
+        {.config = {.cms_params = params,
+                    .cms_hash_seed = 3,
+                    .id_space = 10'000,
+                    .users_rule = core::ThresholdRule::kMean}});
     eyw::proto::ClientReactor reactor({.shards = 1});
-    const auto channel = reactor.open("127.0.0.1", frame_server.port());
-    server::RemoteBackend remote(*channel, tcp_backend.config());
+    const auto channel = reactor.open("127.0.0.1", deployment.port());
+    server::RemoteBackend remote(*channel, deployment.config());
     server::RoundCoordinator tcp_coordinator(
         group, std::span<client::BrowserExtension>(exts_tcp), remote, 17);
     const auto t2 = Clock::now();

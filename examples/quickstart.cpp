@@ -7,14 +7,12 @@
 //   ./build/quickstart --serve PORT [--once] [--journal DIR]
 //                      [--port-file PATH]    host back-end + oprf-server
 //   ./build/quickstart --connect HOST:PORT   drive reporters over TCP
-//   ./build/quickstart --reporters N [HOST:PORT] [--per-connection]
+//   ./build/quickstart --reporters N [HOST:PORT]
 //                                            N logical reporters
 //                                            multiplexed over a handful of
 //                                            TCP connections (spins up its
 //                                            own server when no target
-//                                            given); --per-connection
-//                                            keeps the PR 4 swarm shape —
-//                                            one socket per reporter
+//                                            given)
 //   ./build/quickstart --crash-demo [N]      kill -9 a journaled server
 //                                            mid-round, restart, finish —
 //                                            asserts bit-identical recovery
@@ -24,12 +22,15 @@
 //                                            mutator, poison, soak,
 //                                            crash-churn (docs/scenarios.md)
 //
-// `--journal DIR` makes the served round durable: accepted submissions
-// are write-ahead journaled with sketch checkpoints (src/storage/), and a
-// server restarted on the same DIR resumes the in-flight round. SIGINT /
-// SIGTERM shut the server down gracefully — dispatcher drained, journal
-// flushed, a final checkpoint installed, one last stats line printed.
-// `--port-file PATH` writes the bound port (for --serve 0 under scripts).
+// Every server this binary stands up is a server::Deployment, so `--serve`
+// also serves the operator stats endpoint (GET /stats) on a second
+// loopback port, printed at startup. `--journal DIR` makes the served
+// round durable: accepted submissions are write-ahead journaled with
+// sketch checkpoints (src/storage/), and a server restarted on the same
+// DIR resumes the in-flight round. SIGINT / SIGTERM shut the server down
+// gracefully — dispatcher drained, journal flushed, a final checkpoint
+// installed, one last stats line printed. `--port-file PATH` writes
+// "PORT\nSTATS_PORT\n" once both are bound (for --serve 0 under scripts).
 //
 // The two-process mode runs one full reporting round twice with identical
 // inputs — once over in-process loopback, once through the remote
@@ -37,28 +38,27 @@
 // (the protocol's deployment invariant; see docs/architecture.md).
 // `--once` makes the server exit after serving one finalize, for CI.
 // `--reporters` is the swarm driver: N logical reporters driven through
-// the *client* reactor. By default (PR 9) each reporter is a MuxStream —
-// a stream-id-tagged logical channel fanned over a fixed handful of
-// mux-negotiated connections — so fds AND threads stay flat while N
-// climbs to 100k+; a sliding completion-chained window keeps the swarm
-// self-paced against the server's drain rate. `--per-connection` keeps
-// the PR 4 shape (one socket per reporter) for A/B comparison: both
-// modes must finalize bit-identical to the same in-process reference, so
-// at equal N they are bit-identical to each other. The batched OPRF
-// warm-up overlaps the in-flight submissions either way, and the mode
-// exits non-zero if resident client-side threads exceed shards + 1, the
-// mux swarm's fd footprint grows with N, the overload-shed probe
-// misbehaves, or any aggregate check fails. Both sides multiplex: the
-// server end already holds thousands of connections on shards + acceptor
-// (PR 4); this mode proves one process can *drive* 100k logical peers.
+// the *client* reactor, each a MuxStream — a stream-id-tagged logical
+// channel fanned over a fixed handful of mux-negotiated connections — so
+// fds AND threads stay flat while N climbs to 100k+; a sliding
+// completion-chained window keeps the swarm self-paced against the
+// server's drain rate. The batched OPRF warm-up overlaps the in-flight
+// submissions, and the mode exits non-zero if resident client-side
+// threads exceed shards + 1, the fd footprint grows with N, the
+// overload-shed probe misbehaves, or the aggregate is not bit-identical
+// to the same submissions applied in-process. Both sides multiplex: the
+// server end holds thousands of connections on shards + acceptor; this
+// mode proves one process can *drive* 100k logical peers.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -66,12 +66,7 @@
 #include <thread>
 #include <vector>
 
-#include <csignal>
 #include <sys/wait.h>
-#include <unistd.h>
-
-#include <condition_variable>
-#include <mutex>
 
 #include "client/extension.hpp"
 #include "client/url_mapper.hpp"
@@ -79,13 +74,8 @@
 #include "core/local_detector.hpp"
 #include "proto/client_reactor.hpp"
 #include "proto/raw_frame_io.hpp"
-#include "proto/tcp.hpp"
-#include "server/cluster.hpp"
-#include "server/dispatcher.hpp"
-#include "server/durable_backend.hpp"
-#include "server/endpoint.hpp"
-#include "scenario/harness.hpp"
 #include "scenario/scenario.hpp"
+#include "server/deployment.hpp"
 #include "server/remote_backend.hpp"
 #include "server/round.hpp"
 #include "util/thread_pool.hpp"
@@ -94,32 +84,16 @@ namespace {
 
 using namespace eyw;
 
-/// Round configuration both processes of the TCP mode agree on out-of-band
-/// (in a deployment this is the service config; here it is compiled in).
-server::BackendConfig net_config() {
-  return {.cms_params = {.depth = 4, .width = 256},
-          .cms_hash_seed = 3,
-          .id_space = 10'000,
-          .users_rule = core::ThresholdRule::kMean};
-}
-
 constexpr std::size_t kNetClients = 12;
-constexpr std::size_t kNetShards = 2;
-
-/// Overload bound for the served deployment's dispatch lanes: deep enough
-/// that a well-behaved swarm (the mux driver keeps ~2k frames in flight)
-/// never sheds, shallow enough that a runaway client meets
-/// Error(kUnavailable) + retry-after instead of unbounded queue growth.
-constexpr std::size_t kServeLaneDepth = 8192;
-constexpr std::uint32_t kServeRetryAfterMs = 25;
+constexpr std::size_t kNetShards = server::Deployment::kBackendShards;
 
 /// The fleet both round runs share: every client saw ~12 unique ads, with
 /// overlap so some ads cross the threshold.
 std::vector<client::BrowserExtension> make_fleet(client::UrlMapper& mapper) {
+  const server::BackendConfig config = server::default_config();
   const client::ExtensionConfig ecfg{.detector = {},
-                                     .cms_params = net_config().cms_params,
-                                     .cms_hash_seed =
-                                         net_config().cms_hash_seed};
+                                     .cms_params = config.cms_params,
+                                     .cms_hash_seed = config.cms_hash_seed};
   std::vector<client::BrowserExtension> exts;
   for (std::size_t u = 0; u < kNetClients; ++u)
     exts.emplace_back(static_cast<core::UserId>(u), ecfg, mapper);
@@ -196,184 +170,6 @@ int run_loopback_demo() {
   return 0;
 }
 
-/// Server-side parties behind one reactor FrameServer: the sharded
-/// back-end (with the operator control plane enabled — this port is the
-/// deployment's operator+ingest port) and the keyed oprf-server. The
-/// endpoints mutate unsynchronized round state, so dispatch goes through
-/// an AsyncDispatcher sharded one FIFO lane per backend shard: reactor
-/// callbacks only enqueue, each lane applies its shard's frames in order
-/// (control plane + OPRF serialize on lane 0), and heavy handler work
-/// (batch OPRF modexps, finalize's id-space scan) still fans out across
-/// the thread pool from there. Declaration order doubles as teardown
-/// order: the FrameServer stops before the dispatcher it feeds off.
-struct ServerStack {
-  util::Rng rng{7};
-  crypto::OprfServer oprf{rng, 256};
-  server::BackendCluster cluster{net_config(), kNetShards};
-  /// Non-null iff --journal: decorates the cluster with the write-ahead
-  /// journal + checkpoints (recovery runs in its constructor, before the
-  /// endpoint below can route a single frame at it). Declared before the
-  /// endpoint so submissions outlive neither.
-  std::unique_ptr<server::DurableBackend> durable;
-  server::BackendEndpoint backend_ep;
-  server::OprfEndpoint oprf_ep{oprf};
-  std::atomic<bool> finalized{false};
-  server::AsyncDispatcher dispatcher;
-  proto::FrameServer server;
-
-  explicit ServerStack(std::uint16_t port,
-                       std::size_t max_connections =
-                           eyw::proto::FrameServerOptions{}.max_connections,
-                       const std::string& journal_dir = {})
-      : durable(journal_dir.empty()
-                    ? nullptr
-                    : std::make_unique<server::DurableBackend>(
-                          cluster,
-                          server::DurabilityConfig{.dir = journal_dir})),
-        // Submissions flow through the durable decorator when present;
-        // ShardedSubmit routing validation keys on the cluster either way.
-        backend_ep(durable
-                       ? static_cast<server::RoundBackend&>(*durable)
-                       : static_cast<server::RoundBackend&>(cluster),
-                   &cluster, /*serve_control=*/true),
-        dispatcher(
-            [this](std::span<const std::uint8_t> frame) {
-              return route(frame);
-            },
-            kNetShards, server::cluster_lane_router(cluster),
-            server::control_plane_barrier(),
-            // Bounded lanes: past-cap submits are shed with a retry-after
-            // hint and mirrored onto the endpoint's refusal counters.
-            server::DispatcherLimits{.max_lane_depth = kServeLaneDepth,
-                                     .retry_after_ms = kServeRetryAfterMs,
-                                     .counters = &backend_ep.counters()}),
-        server(dispatcher.handler(),
-               {.port = port,
-                // Sized to the admission cap: a reporter swarm connects in
-                // one burst, and a SYN dropped off a full accept queue
-                // costs that reporter a 1 s kernel retransmit.
-                .backlog = static_cast<int>(
-                    std::max<std::size_t>(256, max_connections)),
-                .max_connections = max_connections}) {
-    // Close the buffer-recycle loop: lane workers hand consumed frames
-    // back to the server's pool instead of destructing them. Without
-    // this, every dispatched frame is a pool miss and steady-state
-    // ingest pays a malloc per report (the ingest budget check below
-    // would fail).
-    dispatcher.set_frame_recycler(server.frame_recycler());
-  }
-
-  std::vector<std::uint8_t> route(std::span<const std::uint8_t> frame) {
-    // Route on the peeked kind (no payload copy); a frame too broken to
-    // peek goes to the backend endpoint, which answers the appropriate
-    // Error envelope.
-    const std::optional<proto::MsgKind> kind = proto::peek_kind(frame);
-    if (kind == proto::MsgKind::kOprfEvalRequest ||
-        kind == proto::MsgKind::kOprfKeyQuery)
-      return oprf_ep.handle(frame);
-    auto reply = backend_ep.handle(frame);
-    // --once completion means the round actually finalized: a
-    // FinalizeRequest the backend refused (Error reply) does not count.
-    if (kind == proto::MsgKind::kFinalizeRequest &&
-        proto::peek_kind(reply) == proto::MsgKind::kRoundSummary)
-      finalized.store(true, std::memory_order_relaxed);
-    return reply;
-  }
-};
-
-/// SIGINT/SIGTERM request graceful shutdown; the serve loop polls this.
-/// sig_atomic_t + a plain store is everything an async-signal context may
-/// touch.
-volatile std::sig_atomic_t g_shutdown_signal = 0;
-
-extern "C" void on_shutdown_signal(int sig) { g_shutdown_signal = sig; }
-
-int run_serve(std::uint16_t port, bool once, const std::string& journal_dir,
-              const std::string& port_file) {
-  // Graceful shutdown: first SIGINT/SIGTERM breaks the serve loop below;
-  // the handler stays installed so a second signal during the drain is
-  // absorbed too (kill -9 is the crash path the journal exists for).
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = on_shutdown_signal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-
-  ServerStack stack(port, eyw::proto::FrameServerOptions{}.max_connections,
-                    journal_dir);
-  std::printf("serving back-end (%zu backend shards) + oprf-server on "
-              "127.0.0.1:%u, %zu reactor shard(s), %zu dispatch lane(s)%s\n",
-              kNetShards, stack.server.port(), stack.server.shards(),
-              stack.dispatcher.lanes(),
-              once ? " (exit after one round)" : "");
-  if (stack.durable) {
-    const storage::RecoveryReport& rec = stack.durable->recovery();
-    std::printf("journal %s: %s round %llu, %llu record(s) replayed "
-                "(%llu refused, %llu torn byte(s) discarded)\n",
-                journal_dir.c_str(),
-                rec.checkpoint_loaded ? "recovered" : "fresh",
-                static_cast<unsigned long long>(rec.round),
-                static_cast<unsigned long long>(rec.records_replayed),
-                static_cast<unsigned long long>(rec.records_refused),
-                static_cast<unsigned long long>(rec.torn_bytes));
-  }
-  std::fflush(stdout);
-  if (!port_file.empty()) {
-    // Written (atomically, via rename) only after the listener is bound:
-    // a script polling for this file may connect the moment it appears.
-    const std::string tmp = port_file + ".tmp";
-    if (std::FILE* f = std::fopen(tmp.c_str(), "w")) {
-      std::fprintf(f, "%u\n", stack.server.port());
-      std::fclose(f);
-      std::rename(tmp.c_str(), port_file.c_str());
-    }
-  }
-
-  // --once: exit after the finalize reply has been read (the client
-  // closing its connections is the signal it got everything it asked for).
-  // A shutdown signal breaks out either way.
-  while (g_shutdown_signal == 0 &&
-         (!once || !stack.finalized.load(std::memory_order_relaxed) ||
-          stack.server.active_connections() != 0)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  if (g_shutdown_signal != 0)
-    std::printf("caught %s: draining...\n",
-                g_shutdown_signal == SIGINT ? "SIGINT" : "SIGTERM");
-
-  // Drain in dependency order: stop accepting + reading (reactor), apply
-  // every frame already queued (dispatcher), then flush the journal and
-  // install the final checkpoint so the next incarnation recovers exactly
-  // what was acknowledged.
-  stack.server.stop();
-  stack.dispatcher.stop();
-  if (stack.durable) stack.durable->shutdown();
-
-  const auto stats = stack.server.stats();
-  std::printf("served %llu connection(s): %llu frames / %llu B in, "
-              "%llu frames / %llu B out\n",
-              static_cast<unsigned long long>(
-                  stack.server.connections_accepted()),
-              static_cast<unsigned long long>(stats.messages_received),
-              static_cast<unsigned long long>(stats.bytes_received),
-              static_cast<unsigned long long>(stats.messages_sent),
-              static_cast<unsigned long long>(stats.bytes_sent));
-  if (stack.durable) {
-    const storage::DurabilityStats dstats = stack.durable->stats();
-    std::printf("journal: %llu record(s) / %llu B appended in %llu sync "
-                "batch(es), %llu checkpoint(s), %llu fsync(s), "
-                "off-writer I/O calls: %llu\n",
-                static_cast<unsigned long long>(dstats.records),
-                static_cast<unsigned long long>(dstats.record_bytes),
-                static_cast<unsigned long long>(dstats.batches),
-                static_cast<unsigned long long>(dstats.checkpoints),
-                static_cast<unsigned long long>(dstats.fsyncs),
-                static_cast<unsigned long long>(dstats.off_writer_io));
-  }
-  return 0;
-}
-
 /// Deterministic synthetic report for reporter `i` (this mode measures
 /// the transport; the blinded-crypto round is --connect's job). Shared
 /// with the in-process reference so the swarm aggregate can be asserted
@@ -425,35 +221,32 @@ struct SwarmSink {
 };
 
 int run_reporters(std::size_t n, const std::string& target_host,
-                  long target_port, bool use_mux) {
+                  long target_port) {
   // Mux geometry: a fixed handful of sockets, reporter i = a logical
   // stream on connection i mod K, and a sliding window of exchanges in
   // flight so the driver self-paces against the server's drain rate
-  // instead of materializing n frames (or n sockets) up front.
+  // instead of materializing n frames up front.
   constexpr std::size_t kMuxConnections = 8;
   constexpr std::size_t kMuxWindow = 2048;
-  /// Fd head-room the mux swarm may use over its pre-reactor baseline:
-  /// both ends of the K connections + control/OPRF links + per-shard
-  /// loop plumbing (epoll, eventfd, timerfd) — a constant, never O(n).
+  /// Fd head-room the swarm may use over its pre-reactor baseline: both
+  /// ends of the K connections + control/OPRF links + per-shard loop
+  /// plumbing (epoll, eventfd, timerfd) — a constant, never O(n).
   constexpr std::size_t kMuxFdBudget = 64;
 
   // Self-serve when no target: both halves of the story live in this
   // process — the server multiplexing inbound connections on its
   // shards, and the client reactor driving the swarm on its own.
-  std::unique_ptr<ServerStack> local;
+  std::optional<server::Deployment> local;
   std::string host = target_host;
   std::uint16_t port = 0;
   if (target_port < 0) {
-    // Admission cap: the per-connection swarm needs a socket per
-    // reporter; mux needs the fixed fan plus control/OPRF/probe links.
-    local = std::make_unique<ServerStack>(
-        0, (use_mux ? kMuxConnections : n) + 8);
+    local.emplace();
     host = "127.0.0.1";
-    port = local->server.port();
+    port = local->port();
   } else {
     port = static_cast<std::uint16_t>(target_port);
   }
-  const server::BackendConfig config = net_config();
+  const server::BackendConfig config = server::default_config();
 
   // Declared before the reactor: reporter completions write into the
   // sink, and if anything below throws, the unwinding reactor fails every
@@ -476,9 +269,9 @@ int run_reporters(std::size_t n, const std::string& target_host,
 
   // Operator control plane on its own channel, pipelined RemoteBackend:
   // begin_round is a barrier, so the roster is open before reports fly.
-  // Deliberately a legacy (version-1) channel even in mux mode — the
-  // control plane and the mux swarm sharing one port is exactly the
-  // mixed old/new-peer deployment the Hello negotiation exists for.
+  // Deliberately a version-1 channel — the control plane and the mux
+  // swarm sharing one port is exactly the mixed deployment the Hello
+  // negotiation exists for.
   auto control = reactor.open(host, port);
   server::RemoteBackend remote(*control, config);
   remote.begin_round(/*round=*/0, n);
@@ -491,50 +284,34 @@ int run_reporters(std::size_t n, const std::string& target_host,
         .encode(/*round=*/0);
   };
 
-  // Whichever transport objects the swarm rides stay alive until the
-  // last completion has fired (and each in-flight exchange additionally
-  // pins its own stream through the completion's capture).
-  std::vector<std::shared_ptr<proto::ClientChannel>> channels;
+  // The mux channels stay alive until the last completion has fired (and
+  // each in-flight exchange additionally pins its own stream through the
+  // completion's capture). K sockets total, negotiated once each; every
+  // completion chains the next reporter to keep the window full.
   std::vector<std::shared_ptr<proto::MuxChannel>> muxes;
+  for (std::size_t k = 0; k < std::min(kMuxConnections, n); ++k)
+    muxes.push_back(reactor.open_mux(host, port));
   std::atomic<std::size_t> next_reporter{0};
-  std::function<void(std::size_t)> submit_mux;
+  std::function<void(std::size_t)> submit;
+  submit = [&](std::size_t i) {
+    auto stream = muxes[i % muxes.size()]->open_stream();
+    auto* raw = stream.get();
+    raw->exchange_async(
+        report_frame(i), [&, stream, i](proto::AsyncResult r) {
+          // Chain first, account last: the moment sink.complete() counts
+          // the final reporter the main thread may pass its wait, so the
+          // lambda touches nothing after it.
+          const std::size_t next =
+              next_reporter.fetch_add(1, std::memory_order_relaxed);
+          if (next < n) submit(next);
+          sink.complete(i, std::move(r), n);
+        });
+  };
+  const std::size_t prime = std::min(kMuxWindow, n);
+  next_reporter.store(prime, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < prime; ++i) submit(i);
 
-  if (use_mux) {
-    // Mux swarm: K sockets total, negotiated once each; every completion
-    // chains the next reporter to keep the window full.
-    for (std::size_t k = 0; k < std::min(kMuxConnections, n); ++k)
-      muxes.push_back(reactor.open_mux(host, port));
-    submit_mux = [&](std::size_t i) {
-      auto stream = muxes[i % muxes.size()]->open_stream();
-      auto* raw = stream.get();
-      raw->exchange_async(
-          report_frame(i), [&, stream, i](proto::AsyncResult r) {
-            // Chain first, account last: the moment sink.complete() counts
-            // the final reporter the main thread may pass its wait, so
-            // the lambda touches nothing after it.
-            const std::size_t next =
-                next_reporter.fetch_add(1, std::memory_order_relaxed);
-            if (next < n) submit_mux(next);
-            sink.complete(i, std::move(r), n);
-          });
-    };
-    const std::size_t prime = std::min(kMuxWindow, n);
-    next_reporter.store(prime, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < prime; ++i) submit_mux(i);
-  } else {
-    // Per-connection swarm (the PR 4 shape): n simultaneously-connected
-    // sockets, each with its one exchange in flight at once.
-    channels.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      channels.push_back(reactor.open(host, port));
-    for (std::size_t i = 0; i < n; ++i)
-      channels[i]->exchange_async(report_frame(i),
-                                  [&, i](proto::AsyncResult r) {
-                                    sink.complete(i, std::move(r), n);
-                                  });
-  }
-
-  // While those n exchanges are in flight, run the batched OPRF warm-up a
+  // While those exchanges are in flight, run the batched OPRF warm-up a
   // fresh extension would: key fetch + one batch evaluation, blocking the
   // main thread only — the reactor shards keep pumping the swarm
   // underneath it instead of serializing warm-up then reports.
@@ -570,10 +347,10 @@ int run_reporters(std::size_t n, const std::string& target_host,
           std::chrono::steady_clock::now() - t0)
           .count();
 
-  // Overload-shed probe (self-serve mux mode): freeze the dispatcher so
-  // one stream's in-flight handler never completes, stuff that stream
-  // past its server-side backlog, and watch the reactor shed the excess
-  // with Error(kUnavailable) + retry-after — which this client honors by
+  // Overload-shed probe (self-serve only): freeze the dispatcher so one
+  // stream's in-flight handler never completes, stuff that stream past
+  // its server-side backlog, and watch the reactor shed the excess with
+  // Error(kUnavailable) + retry-after — which this client honors by
   // backing off and resubmitting, so every probe exchange still answers
   // once the dispatcher thaws. Runs after the swarm (same port, same
   // stack) and uses side-effect-free OprfKeyQuery frames, so the round's
@@ -582,9 +359,9 @@ int run_reporters(std::size_t n, const std::string& target_host,
   std::uint64_t probe_sheds = 0;
   std::uint64_t probe_retries = 0;
   constexpr std::size_t kProbeOverflow = 8;
-  if (use_mux && local != nullptr) {
+  if (local) {
     const std::uint64_t sheds_before =
-        local->server.stats().reactor.streams_shed;
+        local->server().stats().reactor.streams_shed;
     const std::uint64_t retries_before =
         reactor.counters().unavailable_retries;
     const std::size_t probe_total =
@@ -593,7 +370,7 @@ int run_reporters(std::size_t n, const std::string& target_host,
     probe.want = proto::MsgKind::kOprfKeyAnswer;
     auto probe_mux = reactor.open_mux(host, port);
     auto probe_stream = probe_mux->open_stream();
-    local->dispatcher.pause();
+    local->dispatcher().pause();
     for (std::size_t i = 0; i < probe_total; ++i)
       probe_stream->exchange_async(proto::encode_oprf_key_query(),
                                    [&probe, probe_total,
@@ -604,14 +381,14 @@ int run_reporters(std::size_t n, const std::string& target_host,
     // Thaw only after the server has counted the shed tail (bounded spin:
     // the sheds are synchronous with the reactor reading the probe burst).
     for (int spin = 0; spin < 10'000; ++spin) {
-      if (local->server.stats().reactor.streams_shed - sheds_before >=
+      if (local->server().stats().reactor.streams_shed - sheds_before >=
           kProbeOverflow)
         break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    local->dispatcher.resume();
+    local->dispatcher().resume();
     probe.wait_all(probe_total);
-    probe_sheds = local->server.stats().reactor.streams_shed - sheds_before;
+    probe_sheds = local->server().stats().reactor.streams_shed - sheds_before;
     probe_retries =
         reactor.counters().unavailable_retries - retries_before;
     overload_ok = probe.acked == probe_total &&
@@ -643,37 +420,28 @@ int run_reporters(std::size_t n, const std::string& target_host,
   const std::size_t fd_delta =
       fds_during > fds_before ? fds_during - fds_before : 0;
   const auto counters = reactor.counters();
-  if (use_mux) {
-    // Aggregate the mux channels' envelope-byte accounting: counted on
-    // the version-1 bytes, so these totals match what a
-    // socket-per-reporter swarm of the same size reports.
-    proto::TransportStats mux_stats{};
-    for (const auto& m : muxes) {
-      const auto s = m->stats();
-      mux_stats.messages_sent += s.messages_sent;
-      mux_stats.bytes_sent += s.bytes_sent;
-      mux_stats.messages_received += s.messages_received;
-      mux_stats.bytes_received += s.bytes_received;
-    }
-    std::printf("%zu logical reporters over %zu mux connection(s), window "
-                "%zu in flight: %zu acked, %zu missing at finalize; OPRF "
-                "warm-up of %zu URLs in %llu trip(s) overlapped the swarm\n",
-                n, muxes.size(), std::min(kMuxWindow, n), sink.acked,
-                missing.size(), warm_urls,
-                static_cast<unsigned long long>(warm_trips));
-    std::printf("mux channels: %llu frames / %llu B up, %llu frames / "
-                "%llu B down (v1-equivalent byte accounting)\n",
-                static_cast<unsigned long long>(mux_stats.messages_sent),
-                static_cast<unsigned long long>(mux_stats.bytes_sent),
-                static_cast<unsigned long long>(mux_stats.messages_received),
-                static_cast<unsigned long long>(mux_stats.bytes_received));
-  } else {
-    std::printf("%zu reporter connections: %zu acked, %zu missing at "
-                "finalize; OPRF warm-up of %zu URLs in %llu trip(s) "
-                "overlapped the swarm\n",
-                n, sink.acked, missing.size(), warm_urls,
-                static_cast<unsigned long long>(warm_trips));
+  // Aggregate the mux channels' envelope-byte accounting: counted on the
+  // version-1 bytes, so these totals match what a socket-per-reporter
+  // client of the same size would report.
+  proto::TransportStats mux_stats{};
+  for (const auto& m : muxes) {
+    const auto s = m->stats();
+    mux_stats.messages_sent += s.messages_sent;
+    mux_stats.bytes_sent += s.bytes_sent;
+    mux_stats.messages_received += s.messages_received;
+    mux_stats.bytes_received += s.bytes_received;
   }
+  std::printf("%zu logical reporters over %zu mux connection(s), window "
+              "%zu in flight: %zu acked, %zu missing at finalize; OPRF "
+              "warm-up of %zu URLs in %llu trip(s) overlapped the swarm\n",
+              n, muxes.size(), prime, sink.acked, missing.size(), warm_urls,
+              static_cast<unsigned long long>(warm_trips));
+  std::printf("mux channels: %llu frames / %llu B up, %llu frames / "
+              "%llu B down (v1-equivalent byte accounting)\n",
+              static_cast<unsigned long long>(mux_stats.messages_sent),
+              static_cast<unsigned long long>(mux_stats.bytes_sent),
+              static_cast<unsigned long long>(mux_stats.messages_received),
+              static_cast<unsigned long long>(mux_stats.bytes_received));
   std::printf("wall %.1f ms (%.0f reporters/s incl. connect+report+ack)\n",
               wall_ms, 1000.0 * static_cast<double>(n) / wall_ms);
   std::printf("client reactor: %zu shard thread(s) for %llu connection(s), "
@@ -688,96 +456,79 @@ int run_reporters(std::size_t n, const std::string& target_host,
   std::printf("resident client-side threads while driving: %zu "
               "(= reactor shards; never O(reporters))\n",
               client_threads);
-  if (use_mux)
-    std::printf("open fds while driving: +%zu over baseline %zu "
-                "(budget %zu; independent of N=%zu)\n",
-                fd_delta, fds_before, kMuxFdBudget, n);
-  std::printf("round finalized over the same port: Users_th=%.3f (%u/%u "
+  std::printf("open fds while driving: +%zu over baseline %zu "
+              "(budget %zu; independent of N=%zu)\n",
+              fd_delta, fds_before, kMuxFdBudget, n);
+  std::printf("round finalized over the same port: Users_th=%.3f (%zu/%zu "
               "reported), aggregate %s vs in-process reference\n",
               result.users_threshold, result.reports, result.roster,
               identical ? "bit-identical" : "MISMATCH");
-  if (use_mux && local != nullptr)
+  // Zero-copy ingest budget: frame-pool misses are one-time allocations
+  // for the in-flight high-water, which the client window bounds — so the
+  // budget is the window plus slack, independent of N (a recycle leak
+  // shows up as misses ~ N and fails here at the 16x size).
+  bool ingest_ok = true;
+  if (local) {
     std::printf("overload probe: dispatcher frozen, %llu stream shed(s) "
                 "answered with retry-after; client backoff resubmitted "
                 "%llu time(s); all probe exchanges served after thaw\n",
                 static_cast<unsigned long long>(probe_sheds),
                 static_cast<unsigned long long>(probe_retries));
-  if (local != nullptr) {
-    const auto server_stats = local->server.stats();
+    const proto::FrameServerStats server_stats = local->server().stats();
     std::printf("server side: %zu accepted (%llu mux-negotiated) / %llu "
                 "refused on %zu reactor shard(s) + acceptor + %zu dispatch "
                 "lane(s); %llu stream shed(s), dispatcher %llu accepted / "
                 "%llu shed\n",
                 static_cast<std::size_t>(
-                    local->server.connections_accepted()),
+                    local->server().connections_accepted()),
                 static_cast<unsigned long long>(
                     server_stats.reactor.mux_connections),
                 static_cast<unsigned long long>(
-                    local->server.connections_refused()),
-                local->server.shards(), local->dispatcher.lanes(),
+                    local->server().connections_refused()),
+                local->server().shards(), local->dispatcher().lanes(),
                 static_cast<unsigned long long>(
                     server_stats.reactor.streams_shed),
-                static_cast<unsigned long long>(local->dispatcher.accepted()),
-                static_cast<unsigned long long>(local->dispatcher.shed()));
-    local->server.stop();
+                static_cast<unsigned long long>(
+                    local->dispatcher().accepted()),
+                static_cast<unsigned long long>(local->dispatcher().shed()));
+    constexpr std::uint64_t kMissBudget = kMuxWindow + 128;
+    std::printf("ingest fast path: %llu pooled frame(s), %llu pool miss(es) "
+                "(budget %llu), %llu copied byte(s)\n",
+                static_cast<unsigned long long>(
+                    server_stats.reactor.frames_pooled),
+                static_cast<unsigned long long>(
+                    server_stats.reactor.pool_misses),
+                static_cast<unsigned long long>(kMissBudget),
+                static_cast<unsigned long long>(
+                    server_stats.reactor.bytes_copied_ingest));
+    ingest_ok = server_stats.reactor.pool_misses <= kMissBudget;
+    if (!ingest_ok)
+      std::fprintf(stderr,
+                   "FAIL: ingest fast-path budget — %llu pool misses "
+                   "(budget %llu, the in-flight window)\n",
+                   static_cast<unsigned long long>(
+                       server_stats.reactor.pool_misses),
+                   static_cast<unsigned long long>(kMissBudget));
+    local->stop();
   }
   const bool threads_ok = client_threads <= reactor.shards() + 1;
   if (!threads_ok)
     std::fprintf(stderr,
                  "FAIL: %zu resident client threads exceed shards + 1\n",
                  client_threads);
-  const bool fds_ok = !use_mux || fd_delta <= kMuxFdBudget;
+  const bool fds_ok = fd_delta <= kMuxFdBudget;
   if (!fds_ok)
     std::fprintf(stderr,
                  "FAIL: fd delta %zu exceeds the flat budget %zu — the mux "
                  "swarm's fd footprint must not grow with N\n",
                  fd_delta, kMuxFdBudget);
-  const bool mux_ok =
-      !use_mux || local == nullptr ||
-      counters.mux_negotiated >= muxes.size();
+  const bool mux_ok = !local || counters.mux_negotiated >= muxes.size();
   if (!mux_ok)
     std::fprintf(stderr,
                  "FAIL: only %llu of %zu channels negotiated the mux "
                  "capability against a capable server\n",
                  static_cast<unsigned long long>(counters.mux_negotiated),
                  muxes.size());
-  // Zero-copy ingest budget: frame-pool misses are one-time allocations
-  // for the in-flight high-water, which the client window bounds — so
-  // the budget is the window plus slack, independent of N (a recycle
-  // leak shows up as misses ~ N and fails here at the 16x size). A
-  // journaled server must journal the accepted wire bytes rather than
-  // re-encode: re-encodes are the copying fallback, budget zero.
-  bool ingest_ok = true;
-  if (local != nullptr) {
-    const auto server_stats = local->server.stats();
-    const std::uint64_t miss_budget =
-        use_mux ? kMuxWindow + 128
-                : static_cast<std::uint64_t>(n) + 128;
-    const std::uint64_t reencodes =
-        local->durable ? local->durable->journal_reencodes() : 0;
-    std::printf("ingest fast path: %llu pooled frame(s), %llu pool miss(es) "
-                "(budget %llu), %llu copied byte(s), %llu journal "
-                "re-encode(s)\n",
-                static_cast<unsigned long long>(
-                    server_stats.reactor.frames_pooled),
-                static_cast<unsigned long long>(
-                    server_stats.reactor.pool_misses),
-                static_cast<unsigned long long>(miss_budget),
-                static_cast<unsigned long long>(
-                    server_stats.reactor.bytes_copied_ingest),
-                static_cast<unsigned long long>(reencodes));
-    ingest_ok = server_stats.reactor.pool_misses <= miss_budget &&
-                reencodes == 0;
-    if (!ingest_ok)
-      std::fprintf(stderr,
-                   "FAIL: ingest fast-path budget — %llu pool misses "
-                   "(budget %llu, the in-flight window) or %llu journal "
-                   "re-encodes (budget 0)\n",
-                   static_cast<unsigned long long>(
-                       server_stats.reactor.pool_misses),
-                   static_cast<unsigned long long>(miss_budget),
-                   static_cast<unsigned long long>(reencodes));
-  }
   const bool ok = sink.acked == n && missing.empty() &&
                   result.reports == n && identical && threads_ok &&
                   fds_ok && mux_ok && overload_ok && ingest_ok;
@@ -786,7 +537,7 @@ int run_reporters(std::size_t n, const std::string& target_host,
 }
 
 int run_connect(const std::string& host, std::uint16_t port) {
-  const server::BackendConfig config = net_config();
+  const server::BackendConfig config = server::default_config();
 
   // Both outbound links multiplex on one client-reactor shard; the OPRF
   // mapper (a sync Transport user) rides a channel through the blocking
@@ -863,41 +614,8 @@ int run_connect(const std::string& host, std::uint16_t port) {
   return identical ? 0 : 1;
 }
 
-/// Spawn `quickstart --serve 0 --once --journal DIR --port-file PATH` as a
-/// fresh OS process (fork + exec of this very binary): the crash demo must
-/// kill a real process image — page cache, threads, sockets and all — for
-/// kill -9 to prove anything about the journal.
-pid_t spawn_journaled_server(const std::string& journal_dir,
-                             const std::string& port_path) {
-  const pid_t pid = fork();
-  if (pid < 0) throw std::runtime_error("fork failed");
-  if (pid == 0) {
-    execl("/proc/self/exe", "quickstart", "--serve", "0", "--once",
-          "--journal", journal_dir.c_str(), "--port-file", port_path.c_str(),
-          static_cast<char*>(nullptr));
-    _exit(127);  // exec failed; nothing else is safe in the child
-  }
-  return pid;
-}
-
-/// Poll for the port file the server renames into place once bound
-/// (10 s budget — sanitizer builds start slowly).
-std::uint16_t await_port(const std::string& port_path) {
-  for (int i = 0; i < 400; ++i) {
-    if (std::FILE* f = std::fopen(port_path.c_str(), "r")) {
-      unsigned port = 0;
-      const int got = std::fscanf(f, "%u", &port);
-      std::fclose(f);
-      if (got == 1 && port > 0 && port < 65536)
-        return static_cast<std::uint16_t>(port);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  throw std::runtime_error("server did not write its port file in time");
-}
-
 int run_crash_demo(std::size_t n) {
-  const server::BackendConfig config = net_config();
+  const server::BackendConfig config = server::default_config();
 
   // Control: the same round, uninterrupted, in-process. The recovered
   // round must match this bit for bit.
@@ -915,21 +633,26 @@ int run_crash_demo(std::size_t n) {
   const std::string dir = dir_template;
   const std::string journal_dir = dir + "/journal";
 
-  // Each incarnation is driven through a sync RemoteBackend over a
-  // reactor channel: every call is one blocking round trip, so each ack
-  // means the server applied that submission, and a refusal throws at the
-  // call that made it. The reactor lives inside each incarnation's scope,
-  // so no client thread or socket exists when the next server is forked.
+  // Each incarnation is `quickstart --serve 0 --once --journal DIR
+  // --port-file PATH` in a fresh OS process: kill -9 must take down a real
+  // process image — page cache, threads, sockets and all — to prove
+  // anything about the journal. Each is driven through a sync
+  // RemoteBackend over a reactor channel: every call is one blocking round
+  // trip, so each ack means the server applied that submission, and a
+  // refusal throws at the call that made it. The reactor lives inside each
+  // incarnation's scope, so no client thread or socket exists when the
+  // next server is forked.
 
   // Incarnation 1: open the round, submit just over half the roster, then
   // SIGKILL.
   const std::size_t kill_after = n - n / 2;
   std::size_t missing_before_kill = 0;
-  const pid_t first = spawn_journaled_server(journal_dir, dir + "/port1");
+  const pid_t first =
+      server::spawn_journaled_server(journal_dir, dir + "/port1");
   {
     proto::ClientReactor reactor({.shards = 1});
-    const auto channel =
-        reactor.open("127.0.0.1", await_port(dir + "/port1"));
+    const auto channel = reactor.open(
+        "127.0.0.1", server::await_port_file(dir + "/port1").port);
     proto::SyncTransportAdapter link(*channel);
     server::RemoteBackend remote(link, config);
     remote.begin_round(/*round=*/1, n);
@@ -953,15 +676,28 @@ int run_crash_demo(std::size_t n) {
   // Incarnation 2: same journal directory, brand-new process. It must
   // resume round 1 (adopt_round: no BeginRound — reopening would throw
   // the recovered submissions away), know exactly who is missing, refuse
-  // a duplicate of a pre-crash report, and finalize bit-identical.
+  // a duplicate of a pre-crash report, and finalize bit-identical. Its
+  // /stats must show the recovery replayed exactly the kill_after
+  // submissions the barrier above flushed — the journal carries nothing
+  // else — with nothing refused and no torn tail. Read before the
+  // finalize: a --once server exits once the round is done.
   std::size_t missing_after_crash = 0;
   bool dup_refused = false;
+  std::uint64_t replayed = 0;
+  bool recovery_clean = false;
   std::optional<server::RoundResult> got;
-  const pid_t second = spawn_journaled_server(journal_dir, dir + "/port2");
+  const pid_t second =
+      server::spawn_journaled_server(journal_dir, dir + "/port2");
   {
+    const server::ServedPorts ports =
+        server::await_port_file(dir + "/port2");
+    replayed = scenario::stat(ports.stats_port, "recovery_records_replayed");
+    recovery_clean =
+        replayed == kill_after &&
+        scenario::stat(ports.stats_port, "recovery_records_refused") == 0 &&
+        scenario::stat(ports.stats_port, "recovery_torn_bytes") == 0;
     proto::ClientReactor reactor({.shards = 1});
-    const auto channel =
-        reactor.open("127.0.0.1", await_port(dir + "/port2"));
+    const auto channel = reactor.open("127.0.0.1", ports.port);
     proto::SyncTransportAdapter link(*channel);
     server::RemoteBackend remote(link, config);
     remote.adopt_round(1);
@@ -982,9 +718,12 @@ int run_crash_demo(std::size_t n) {
 
   const bool identical =
       got.has_value() && scenario::results_identical(want, *got);
-  std::printf("incarnation 2: recovered %zu missing (want %zu), duplicate "
-              "of pre-crash report %s, round finalized: Users_th=%.3f "
-              "(%u/%u reported)\n",
+  std::printf("incarnation 2: /stats shows %llu record(s) replayed (want "
+              "%zu), recovery %s; recovered %zu missing (want %zu), "
+              "duplicate of pre-crash report %s, round finalized: "
+              "Users_th=%.3f (%zu/%zu reported)\n",
+              static_cast<unsigned long long>(replayed), kill_after,
+              recovery_clean ? "clean" : "NOT CLEAN (FAIL)",
               missing_after_crash, n - kill_after,
               dup_refused ? "refused" : "ACCEPTED (FAIL)",
               got ? got->users_threshold : 0.0, got ? got->reports : 0,
@@ -995,7 +734,7 @@ int run_crash_demo(std::size_t n) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);  // best-effort cleanup
 
-  const bool ok = killed && clean_exit &&
+  const bool ok = killed && clean_exit && recovery_clean &&
                   missing_before_kill == n - kill_after &&
                   missing_after_crash == n - kill_after && dup_refused &&
                   identical;
@@ -1034,35 +773,7 @@ int main(int argc, char** argv) {
   if (argc == 1) return run_loopback_demo();
 
   const std::string mode = argv[1];
-  if (mode == "--serve" && argc >= 3) {
-    const long port = parse_port(argv[2]);
-    bool once = false;
-    std::string journal_dir;
-    std::string port_file;
-    bool usage_ok = port >= 0;
-    for (int i = 3; usage_ok && i < argc; ++i) {
-      const std::string flag = argv[i];
-      if (flag == "--once") {
-        once = true;
-      } else if (flag == "--journal" && i + 1 < argc) {
-        journal_dir = argv[++i];
-      } else if (flag == "--port-file" && i + 1 < argc) {
-        port_file = argv[++i];
-      } else {
-        usage_ok = false;
-      }
-    }
-    if (!usage_ok) {
-      std::fprintf(stderr,
-                   "usage: quickstart --serve PORT [--once] "
-                   "[--journal DIR] [--port-file PATH]\n");
-      return 2;
-    }
-    return run_guarded([&] {
-      return run_serve(static_cast<std::uint16_t>(port), once, journal_dir,
-                       port_file);
-    });
-  }
+  if (mode == "--serve") return server::serve_main(argc, argv);
   if (mode == "--crash-demo" && (argc == 2 || argc == 3)) {
     long n = 24;
     if (argc == 3) {
@@ -1076,25 +787,10 @@ int main(int argc, char** argv) {
     return run_guarded(
         [&] { return run_crash_demo(static_cast<std::size_t>(n)); });
   }
-  // Internal: the crash-churn scenario's server child (fork+exec'd by
-  // --scenario crash-churn; see scenario::serve_child_main).
-  if (mode == "--scenario-server-child" && argc == 4)
-    return scenario::serve_child_main(argv[2], argv[3]);
   if (mode == "--scenario" && argc >= 3) {
     const std::string name = argv[2];
     scenario::ScenarioOptions options;
     options.work_dir = std::filesystem::temp_directory_path().string();
-    options.spawn = [](const std::string& journal_dir,
-                       const std::string& port_file) -> pid_t {
-      const pid_t pid = fork();
-      if (pid == 0) {
-        execl("/proc/self/exe", "quickstart", "--scenario-server-child",
-              journal_dir.c_str(), port_file.c_str(),
-              static_cast<char*>(nullptr));
-        _exit(127);
-      }
-      return pid;
-    };
     bool usage_ok = true;
     for (int i = 3; usage_ok && i < argc; ++i) {
       const std::string flag = argv[i];
@@ -1139,45 +835,34 @@ int main(int argc, char** argv) {
                          static_cast<std::uint16_t>(port));
     });
   }
-  if (mode == "--reporters" && argc >= 3 && argc <= 5) {
+  if (mode == "--reporters" && (argc == 3 || argc == 4)) {
     char* end = nullptr;
     const long n = std::strtol(argv[2], &end, 10);
-    bool per_connection = false;
     std::string host;
     long port = -1;
-    bool usage_ok = end != argv[2] && *end == '\0' && n >= 1;
-    for (int i = 3; usage_ok && i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--per-connection") {
-        per_connection = true;
-      } else {
-        const std::size_t colon = arg.rfind(':');
-        usage_ok = colon != std::string::npos && colon != 0 &&
-                   (port = parse_port(arg.c_str() + colon + 1)) > 0;
-        if (usage_ok) host = arg.substr(0, colon);
-        else std::fprintf(stderr, "quickstart: bad target %s\n", arg.c_str());
-      }
+    // The swarm fans logical streams over eight sockets, so the ceiling is
+    // the per-connection stream-id cap (8 x 65536), not fds.
+    bool usage_ok =
+        end != argv[2] && *end == '\0' && n >= 1 && n <= 524'288;
+    if (usage_ok && argc == 4) {
+      const std::string target = argv[3];
+      const std::size_t colon = target.rfind(':');
+      usage_ok = colon != std::string::npos && colon != 0 &&
+                 (port = parse_port(target.c_str() + colon + 1)) > 0;
+      if (usage_ok) host = target.substr(0, colon);
     }
-    // Mux fans logical streams over eight sockets, so the ceiling is the
-    // per-connection stream-id cap (8 x 65536), not fds; the
-    // socket-per-reporter swarm keeps the old fd-bound cap.
-    if (usage_ok && n > (per_connection ? 65536 : 524'288)) usage_ok = false;
     if (!usage_ok) {
-      std::fprintf(stderr,
-                   "usage: quickstart --reporters N [HOST:PORT] "
-                   "[--per-connection]\n");
+      std::fprintf(stderr, "usage: quickstart --reporters N [HOST:PORT]\n");
       return 2;
     }
     return run_guarded([&] {
-      return run_reporters(static_cast<std::size_t>(n), host, port,
-                           /*use_mux=*/!per_connection);
+      return run_reporters(static_cast<std::size_t>(n), host, port);
     });
   }
   std::fprintf(stderr,
                "usage: quickstart [--serve PORT [--once] [--journal DIR] "
                "[--port-file PATH] | --connect HOST:PORT | --reporters N "
-               "[HOST:PORT] [--per-connection] | --crash-demo [N] | "
-               "--scenario NAME [--seed S] [--reporters N] "
-               "[--soak-seconds S]]\n");
+               "[HOST:PORT] | --crash-demo [N] | --scenario NAME [--seed S] "
+               "[--reporters N] [--soak-seconds S]]\n");
   return 2;
 }

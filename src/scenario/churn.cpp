@@ -14,6 +14,7 @@
 #include "proto/client_reactor.hpp"
 #include "proto/message.hpp"
 #include "proto/raw_frame_io.hpp"
+#include "scenario/scenario.hpp"
 #include "server/remote_backend.hpp"
 #include "util/thread_pool.hpp"
 
@@ -109,10 +110,11 @@ struct AckWave {
 
 }  // namespace
 
-ChurnOutcome run_churn_round(ServerHarness& harness, std::uint64_t round,
+ChurnOutcome run_churn_round(server::Deployment& deployment,
+                             std::uint64_t round,
                              const ChurnSchedule& schedule,
                              std::uint64_t seed) {
-  const server::BackendConfig& config = harness.config();
+  const server::BackendConfig& config = deployment.config();
   const std::size_t n = schedule.roster();
   const std::size_t n_cells = config.cms_params.cells();
   util::ThreadPool& pool = util::ThreadPool::shared();
@@ -148,7 +150,7 @@ ChurnOutcome run_churn_round(ServerHarness& harness, std::uint64_t round,
   // every reporter channel, and nothing else — the same stack quickstart's
   // swarm uses.
   proto::ClientReactor reactor({.shards = 2, .backoff_jitter_seed = seed});
-  auto control = reactor.open("127.0.0.1", harness.port());
+  auto control = reactor.open("127.0.0.1", deployment.port());
   server::RemoteBackend remote(*control, config);
   remote.begin_round(round, n);
 
@@ -158,10 +160,10 @@ ChurnOutcome run_churn_round(ServerHarness& harness, std::uint64_t round,
   // trace beyond the missing list.
   for (std::size_t i = 0; i < n; ++i) {
     if (schedule.styles[i] == ChurnStyle::kConnectsIdle) {
-      const int fd = proto::raw::connect_loopback(harness.port());
+      const int fd = proto::raw::connect_loopback(deployment.port());
       if (fd >= 0) ::close(fd);  // connected, said nothing, died
     } else if (schedule.styles[i] == ChurnStyle::kDiesMidReport) {
-      const int fd = proto::raw::connect_loopback(harness.port());
+      const int fd = proto::raw::connect_loopback(deployment.port());
       if (fd >= 0) {
         // A real report frame, torn mid-payload: the server's framing
         // layer waits for the promised length, the close discards the
@@ -191,8 +193,9 @@ ChurnOutcome run_churn_round(ServerHarness& harness, std::uint64_t round,
     if (schedule.styles[i] == ChurnStyle::kShed) shed_members.push_back(i);
   out.sheds_attempted = shed_members.size();
   if (!shed_members.empty()) {
-    auto mux = reactor.open_mux("127.0.0.1", harness.port());
-    const std::uint32_t cap = harness.options().max_streams_per_connection;
+    auto mux = reactor.open_mux("127.0.0.1", deployment.port());
+    const std::uint32_t cap =
+        proto::FrameServerOptions{}.max_streams_per_connection;
     std::vector<std::shared_ptr<proto::MuxStream>> streams;
     streams.reserve(shed_members.size());
     AckWave sheds(shed_members.size());
@@ -238,7 +241,7 @@ ChurnOutcome run_churn_round(ServerHarness& harness, std::uint64_t round,
   std::vector<std::shared_ptr<proto::ClientChannel>> channels(
       reporting.size());
   for (std::size_t k = 0; k < reporting.size(); ++k)
-    channels[k] = reactor.open("127.0.0.1", harness.port());
+    channels[k] = reactor.open("127.0.0.1", deployment.port());
   AckWave reports(reporting.size());
   for (std::size_t k = 0; k < reporting.size(); ++k) {
     const std::size_t i = reporting[k];
@@ -308,22 +311,20 @@ ChurnOutcome run_churn_round(ServerHarness& harness, std::uint64_t round,
   out.identical = results_identical(*out.control, *out.result);
 
   // --- Operator-surface assertions -----------------------------------
-  if (harness.stats_port() != 0) {
-    const std::string json = server::stats_http_get(harness.stats_port());
-    out.stats_reports = server::stats_value(json, "round_reports");
-    out.stats_adjustments = server::stats_value(json, "round_adjustments");
-    out.stats_missing = server::stats_value(json, "round_missing");
-    out.stats_ok =
-        out.stats_reports == reporting.size() &&
-        out.stats_adjustments ==
-            (out.missing.empty() ? 0 : reporting.size()) &&
-        out.stats_missing == out.missing.size() &&
-        server::stats_value(json, "round_roster") == n &&
-        // Every shed attempt shows up on the reactor's refusal counter
-        // (>=: the counter is cumulative across a harness's rounds) and
-        // none of them was admitted as a report.
-        server::stats_value(json, "streams_shed") >= out.sheds_attempted;
-  }
+  const std::string json = server::stats_http_get(deployment.stats_port());
+  out.stats_reports = server::stats_value(json, "round_reports");
+  out.stats_adjustments = server::stats_value(json, "round_adjustments");
+  out.stats_missing = server::stats_value(json, "round_missing");
+  out.stats_ok =
+      out.stats_reports == reporting.size() &&
+      out.stats_adjustments ==
+          (out.missing.empty() ? 0 : reporting.size()) &&
+      out.stats_missing == out.missing.size() &&
+      server::stats_value(json, "round_roster") == n &&
+      // Every shed attempt shows up on the reactor's refusal counter
+      // (>=: the counter is cumulative across a deployment's rounds) and
+      // none of them was admitted as a report.
+      server::stats_value(json, "streams_shed") >= out.sheds_attempted;
 
   // --- Determinism digest --------------------------------------------
   Digest digest;

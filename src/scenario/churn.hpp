@@ -37,8 +37,8 @@
 #include <optional>
 #include <vector>
 
-#include "scenario/harness.hpp"
 #include "server/backend.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 
@@ -98,13 +98,13 @@ struct ChurnOutcome {
 };
 
 /// Run one full blinded round (real pairwise-DH blinding, real
-/// adjustments) over `harness`'s socket with the schedule's churn applied
+/// adjustments) over `deployment`'s socket with the schedule's churn applied
 /// in every phase, then finalize and compare bit-for-bit against the
 /// honest-subset-only control. The control is the blinding identity: after
 /// every reporter adjusts for the missing set, the aggregate equals the
 /// plain cell sum of exactly the reporters — computed in-process through
 /// the same finalize tail (finalize_from_cells).
-[[nodiscard]] ChurnOutcome run_churn_round(ServerHarness& harness,
+[[nodiscard]] ChurnOutcome run_churn_round(server::Deployment& deployment,
                                            std::uint64_t round,
                                            const ChurnSchedule& schedule,
                                            std::uint64_t seed);

@@ -5,15 +5,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "proto/client_reactor.hpp"
 #include "proto/message.hpp"
 #include "proto/raw_frame_io.hpp"
 #include "scenario/churn.hpp"
+#include "scenario/scenario.hpp"
+#include "server/deployment.hpp"
 #include "server/remote_backend.hpp"
 #include "util/thread_pool.hpp"
 
@@ -25,29 +25,6 @@ constexpr std::size_t kRoster = 12;
 /// The pre-crash reporters (deterministic subset); the rest are the
 /// churned-away missing the recovered server must still account for.
 constexpr std::size_t kReporters[] = {0, 2, 3, 5, 6, 8, 9, 11};
-
-struct ChildPorts {
-  std::uint16_t port = 0;
-  std::uint16_t stats_port = 0;
-};
-
-/// Poll for the two-line port file the child renames into place (10 s —
-/// sanitizer builds start slowly).
-ChildPorts await_ports(const std::string& port_file) {
-  for (int i = 0; i < 400; ++i) {
-    if (std::FILE* f = std::fopen(port_file.c_str(), "r")) {
-      unsigned port = 0;
-      unsigned stats = 0;
-      const int got = std::fscanf(f, "%u %u", &port, &stats);
-      std::fclose(f);
-      if (got == 2 && port > 0 && port < 65536 && stats > 0 && stats < 65536)
-        return {static_cast<std::uint16_t>(port),
-                static_cast<std::uint16_t>(stats)};
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  throw std::runtime_error("crash-churn: child wrote no port file in time");
-}
 
 std::vector<std::uint8_t> report_frame(const server::BackendConfig& config,
                                        std::size_t i, std::uint64_t round) {
@@ -67,37 +44,8 @@ std::vector<std::uint8_t> sync_exchange(int fd,
 
 }  // namespace
 
-int serve_child_main(const std::string& journal_dir,
-                     const std::string& port_file) {
-  try {
-    ServerHarness harness({.journal_dir = journal_dir});
-    // Publish both ports atomically (write aside, rename into place) so
-    // the parent never reads a half-written file.
-    const std::string tmp = port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) return 3;
-    std::fprintf(f, "%u\n%u\n", static_cast<unsigned>(harness.port()),
-                 static_cast<unsigned>(harness.stats_port()));
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), port_file.c_str()) != 0) return 3;
-    // Serve until a finalize has been answered AND the client has read it
-    // (its connections closing is the signal), exactly like
-    // quickstart --serve --once.
-    while (!harness.finalized() ||
-           harness.server().active_connections() != 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    harness.stop();
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "scenario server child: %s\n", e.what());
-    return 3;
-  }
-}
-
-CrashChurnOutcome run_crash_churn(const std::string& work_dir,
-                                  const SpawnFn& spawn) {
-  const server::BackendConfig config = default_config();
+CrashChurnOutcome run_crash_churn(const std::string& work_dir) {
+  const server::BackendConfig config = server::default_config();
   // Fresh scratch state: a journal left by an earlier run would be
   // recovered by incarnation 1 (its round 1 already open, refusing ours),
   // and a stale port file would hand us a dead server's ports.
@@ -112,9 +60,8 @@ CrashChurnOutcome run_crash_churn(const std::string& work_dir,
 
   // --- Incarnation 1: accept a partial round, then die by SIGKILL -----
   const std::string pf1 = work_dir + "/crash-churn.port1";
-  const pid_t pid1 = spawn(journal, pf1);
-  if (pid1 < 0) throw std::runtime_error("crash-churn: spawn 1 failed");
-  const ChildPorts p1 = await_ports(pf1);
+  const pid_t pid1 = server::spawn_journaled_server(journal, pf1);
+  const server::ServedPorts p1 = server::await_port_file(pf1);
   {
     proto::ClientReactor reactor({.shards = 1});
     auto control_chan = reactor.open("127.0.0.1", p1.port);
@@ -152,9 +99,8 @@ CrashChurnOutcome run_crash_churn(const std::string& work_dir,
 
   // --- Incarnation 2: recover from the same journal -------------------
   const std::string pf2 = work_dir + "/crash-churn.port2";
-  const pid_t pid2 = spawn(journal, pf2);
-  if (pid2 < 0) throw std::runtime_error("crash-churn: spawn 2 failed");
-  const ChildPorts p2 = await_ports(pf2);
+  const pid_t pid2 = server::spawn_journaled_server(journal, pf2);
+  const server::ServedPorts p2 = server::await_port_file(pf2);
   {
     proto::ClientReactor reactor({.shards = 1});
     auto control_chan = reactor.open("127.0.0.1", p2.port);

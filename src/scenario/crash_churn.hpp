@@ -11,37 +11,17 @@
 //   * the adjustment phase and finalize complete against the recovered
 //     state bit-identically to the in-process control.
 //
-// The child server is this same binary re-exec'd (fork+execl of
-// /proc/self/exe, like quickstart --crash-demo): real process, real
-// SIGKILL, real recovery path — the spawn hook is injected so both
-// quickstart and the test binary can provide their own child flag.
+// The child server is this same binary re-exec'd as `--serve 0 --once
+// --journal DIR --port-file PATH` (server::spawn_journaled_server, like
+// quickstart --crash-demo): real process, real SIGKILL, real recovery
+// path. The host's main() must hand `--serve` to server::serve_main().
 #pragma once
 
-#include <sys/types.h>
-
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "scenario/harness.hpp"
-
 namespace eyw::scenario {
-
-/// Fork+exec a server child over `journal_dir` that writes "<port>\n
-/// <stats_port>\n" to `port_file` once listening. Returns the child pid
-/// (<0 on failure). The child must serve until a round finalizes, then
-/// exit 0 (serve_child_main does exactly this).
-using SpawnFn =
-    std::function<pid_t(const std::string& journal_dir,
-                        const std::string& port_file)>;
-
-/// The child side: build a durable ServerHarness on ephemeral ports,
-/// publish them atomically to `port_file`, serve until a FinalizeRequest
-/// has been answered, exit 0. Never returns on success (calls _exit /
-/// returns the process exit code for main() to return).
-int serve_child_main(const std::string& journal_dir,
-                     const std::string& port_file);
 
 struct CrashChurnOutcome {
   std::vector<std::size_t> missing_before;  // crashed server's answer
@@ -59,9 +39,8 @@ struct CrashChurnOutcome {
 };
 
 /// Run the full scenario under `work_dir` (journal + port files live
-/// there; must exist and be writable). `spawn` launches the server child
+/// there; must exist and be writable). The server child is spawned
 /// twice — once to crash, once to recover.
-[[nodiscard]] CrashChurnOutcome run_crash_churn(const std::string& work_dir,
-                                                const SpawnFn& spawn);
+[[nodiscard]] CrashChurnOutcome run_crash_churn(const std::string& work_dir);
 
 }  // namespace eyw::scenario

@@ -8,6 +8,7 @@
 #include "proto/client_reactor.hpp"
 #include "proto/raw_frame_io.hpp"
 #include "scenario/churn.hpp"
+#include "scenario/scenario.hpp"
 #include "server/remote_backend.hpp"
 #include "util/thread_pool.hpp"
 
@@ -188,24 +189,22 @@ std::vector<MutatorCase> mutator_corpus(const server::BackendConfig& config,
   return corpus;
 }
 
-MutatorOutcome run_mutator(ServerHarness& harness, std::uint64_t round,
-                           std::size_t repeats) {
-  if (harness.stats_port() == 0)
-    throw std::runtime_error("run_mutator: harness has no stats endpoint");
-  const server::BackendConfig& config = harness.config();
+MutatorOutcome run_mutator(server::Deployment& deployment,
+                           std::uint64_t round, std::size_t repeats) {
+  const server::BackendConfig& config = deployment.config();
   MutatorOutcome out;
 
   // Control plane over the real client stack; the hostile frames go over
   // raw sockets below.
   proto::ClientReactor reactor({.shards = 1});
-  auto control_chan = reactor.open("127.0.0.1", harness.port());
+  auto control_chan = reactor.open("127.0.0.1", deployment.port());
   server::RemoteBackend remote(*control_chan, config);
   remote.begin_round(round, kRoster);
 
   // Honest phase: every roster member reports (no missing set, so the
   // corpus cannot hide behind adjustment bookkeeping).
   {
-    const int fd = proto::raw::connect_loopback(harness.port());
+    const int fd = proto::raw::connect_loopback(deployment.port());
     if (fd < 0) throw std::runtime_error("run_mutator: connect failed");
     for (std::size_t i = 0; i < kRoster; ++i) {
       const auto reply = raw_exchange(fd, honest_report(config, i, round));
@@ -214,18 +213,18 @@ MutatorOutcome run_mutator(ServerHarness& harness, std::uint64_t round,
     ::close(fd);
   }
 
-  const std::string before = server::stats_http_get(harness.stats_port());
+  const std::string before = server::stats_http_get(deployment.stats_port());
 
   // Injection passes: a fresh connection per pass, the whole corpus
   // back-to-back on it. Every reply must be an Error with the expected
   // code — an Ack, a drop, or the wrong code all count against.
-  const std::vector<MutatorCase> corpus =
-      mutator_corpus(config, round, kRoster, harness.cluster().shard_count());
+  const std::vector<MutatorCase> corpus = mutator_corpus(
+      config, round, kRoster, server::Deployment::kBackendShards);
   std::map<proto::ErrorCode, std::uint64_t> expect_by_code;
   std::uint64_t expect_replay = 0;
   std::uint64_t expect_stale = 0;
   for (std::size_t pass = 0; pass < repeats; ++pass) {
-    const int fd = proto::raw::connect_loopback(harness.port());
+    const int fd = proto::raw::connect_loopback(deployment.port());
     if (fd < 0) throw std::runtime_error("run_mutator: connect failed");
     for (const MutatorCase& c : corpus) {
       ++out.injected;
@@ -255,7 +254,7 @@ MutatorOutcome run_mutator(ServerHarness& harness, std::uint64_t round,
   // Audit through the operator surface: the refusal counters must account
   // for every injected frame, bucket by bucket, and the admission
   // counters must not have moved.
-  const std::string after = server::stats_http_get(harness.stats_port());
+  const std::string after = server::stats_http_get(deployment.stats_port());
   const auto delta = [&](const std::string& name) {
     return server::stats_value(after, name) -
            server::stats_value(before, name);

@@ -10,7 +10,7 @@
 // account for 100% of injected frames while the accepted counters moved
 // by zero and the finalized aggregate is bit-identical to the honest
 // control. Randomized fuzz coverage lives at the decoder layer
-// (tests/proto); this harness pins the end-to-end admission contract.
+// (tests/proto); this scenario pins the end-to-end admission contract.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "proto/message.hpp"
-#include "scenario/harness.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 
@@ -69,11 +69,11 @@ struct MutatorOutcome {
     const server::BackendConfig& config, std::uint64_t round,
     std::size_t roster, std::size_t shards);
 
-/// Run the full scenario against a fresh harness round: open `round` with
+/// Run the full scenario against a fresh deployment round: open `round` with
 /// a small honest roster, accept every honest report, inject the corpus
 /// `repeats` times over raw TCP, then finalize and audit the counters over
 /// the stats endpoint.
-[[nodiscard]] MutatorOutcome run_mutator(ServerHarness& harness,
+[[nodiscard]] MutatorOutcome run_mutator(server::Deployment& deployment,
                                          std::uint64_t round,
                                          std::size_t repeats = 5);
 

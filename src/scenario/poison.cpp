@@ -9,6 +9,7 @@
 #include "proto/message.hpp"
 #include "proto/raw_frame_io.hpp"
 #include "scenario/churn.hpp"
+#include "scenario/scenario.hpp"
 #include "server/remote_backend.hpp"
 #include "util/thread_pool.hpp"
 
@@ -22,14 +23,12 @@ std::vector<crypto::BlindCell> poison_cells(
   return cells;
 }
 
-PoisonOutcome run_poison_round(ServerHarness& harness, std::uint64_t round,
-                               std::size_t roster, std::size_t poisoner,
-                               std::uint64_t seed) {
+PoisonOutcome run_poison_round(server::Deployment& deployment,
+                               std::uint64_t round, std::size_t roster,
+                               std::size_t poisoner, std::uint64_t seed) {
   if (poisoner >= roster)
     throw std::invalid_argument("run_poison_round: poisoner outside roster");
-  if (harness.stats_port() == 0)
-    throw std::runtime_error("run_poison_round: harness has no stats");
-  const server::BackendConfig& config = harness.config();
+  const server::BackendConfig& config = deployment.config();
   const std::size_t n_cells = config.cms_params.cells();
   util::ThreadPool& pool = util::ThreadPool::shared();
   PoisonOutcome out;
@@ -52,7 +51,7 @@ PoisonOutcome run_poison_round(ServerHarness& harness, std::uint64_t round,
                             std::span<const crypto::Bignum>(publics), &pool);
 
   proto::ClientReactor reactor({.shards = 1});
-  auto control_chan = reactor.open("127.0.0.1", harness.port());
+  auto control_chan = reactor.open("127.0.0.1", deployment.port());
   server::RemoteBackend remote(*control_chan, config);
   remote.begin_round(round, roster);
 
@@ -60,7 +59,7 @@ PoisonOutcome run_poison_round(ServerHarness& harness, std::uint64_t round,
     return i == poisoner ? poison_cells(config) : plain_cells(config, i);
   };
   {
-    const int fd = proto::raw::connect_loopback(harness.port());
+    const int fd = proto::raw::connect_loopback(deployment.port());
     if (fd < 0) throw std::runtime_error("run_poison_round: connect failed");
     for (std::size_t i = 0; i < roster; ++i) {
       const auto frame =
@@ -80,7 +79,7 @@ PoisonOutcome run_poison_round(ServerHarness& harness, std::uint64_t round,
     // not a wire replay) — must be refused as a duplicate, first report
     // standing.
     const std::uint64_t replay_before =
-        stat(harness.stats_port(), "refused_replay");
+        stat(deployment.stats_port(), "refused_replay");
     std::vector<crypto::BlindCell> doubled = poison_cells(config);
     for (auto& c : doubled) c *= 2;
     const auto again =
@@ -99,7 +98,7 @@ PoisonOutcome run_poison_round(ServerHarness& harness, std::uint64_t round,
         env.kind == proto::MsgKind::kError &&
         proto::ErrorReply::decode(env).code == proto::ErrorCode::kRejected;
     out.counters_moved =
-        stat(harness.stats_port(), "refused_replay") == replay_before + 1;
+        stat(deployment.stats_port(), "refused_replay") == replay_before + 1;
   }
 
   if (!remote.missing_participants().empty())

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "crypto/blinding.hpp"
-#include "scenario/harness.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 
@@ -47,11 +47,11 @@ struct PoisonOutcome {
 [[nodiscard]] std::vector<crypto::BlindCell> poison_cells(
     const server::BackendConfig& config);
 
-/// One blinded round over `harness`'s socket with `roster` reporters, all
+/// One blinded round over `deployment`'s socket with `roster` reporters, all
 /// honest except `poisoner`, who blinds crafted cells and then attempts a
 /// second report. No one is missing (poisoning hides best in a clean
 /// round).
-[[nodiscard]] PoisonOutcome run_poison_round(ServerHarness& harness,
+[[nodiscard]] PoisonOutcome run_poison_round(server::Deployment& deployment,
                                              std::uint64_t round,
                                              std::size_t roster,
                                              std::size_t poisoner,

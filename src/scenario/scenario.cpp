@@ -1,12 +1,17 @@
 #include "scenario/scenario.hpp"
 
+#include <dirent.h>
+
 #include <cstdio>
 #include <filesystem>
 
 #include "scenario/churn.hpp"
+#include "scenario/crash_churn.hpp"
 #include "scenario/mutator.hpp"
 #include "scenario/poison.hpp"
 #include "scenario/soak.hpp"
+#include "server/deployment.hpp"
+#include "server/stats_endpoint.hpp"
 
 namespace eyw::scenario {
 
@@ -18,12 +23,12 @@ int run_churn30(const ScenarioOptions& options) {
   // but "it survives it deterministically" — identical kill timelines,
   // identical missing lists, bit-identical finalize, equal digests.
   const auto run_once = [&options] {
-    ServerHarness harness({.max_connections = 4096});
+    server::Deployment deployment({.max_connections = 4096});
     const ChurnSchedule schedule =
         ChurnSchedule::make(options.reporters, 0.30, options.seed);
     ChurnOutcome outcome =
-        run_churn_round(harness, 1, schedule, options.seed);
-    harness.stop();
+        run_churn_round(deployment, 1, schedule, options.seed);
+    deployment.stop();
     return outcome;
   };
   const ChurnOutcome first = run_once();
@@ -48,9 +53,9 @@ int run_churn30(const ScenarioOptions& options) {
 
 int run_mutator_scenario(const ScenarioOptions& options) {
   (void)options;
-  ServerHarness harness;
-  const MutatorOutcome outcome = run_mutator(harness, 1);
-  harness.stop();
+  server::Deployment deployment;
+  const MutatorOutcome outcome = run_mutator(deployment, 1);
+  deployment.stop();
   std::printf(
       "mutator: injected=%zu refused-with-expected-code=%zu\n"
       "  refusal counters account for 100%% of injections: %s\n"
@@ -67,11 +72,11 @@ int run_mutator_scenario(const ScenarioOptions& options) {
 }
 
 int run_poison_scenario(const ScenarioOptions& options) {
-  ServerHarness harness;
+  server::Deployment deployment;
   const PoisonOutcome outcome =
-      run_poison_round(harness, 1, /*roster=*/6, /*poisoner=*/4,
+      run_poison_round(deployment, 1, /*roster=*/6, /*poisoner=*/4,
                        options.seed);
-  harness.stop();
+  deployment.stop();
   std::printf(
       "poison: re-report refused as duplicate: %s (counter moved: %s)\n"
       "  aggregate == honest peers + crafted cells, bit for bit: %s\n"
@@ -90,12 +95,13 @@ int run_soak_scenario(const ScenarioOptions& options) {
   const std::string journal = options.work_dir + "/soak-journal";
   std::error_code ec;
   std::filesystem::remove_all(journal, ec);
-  ServerHarness harness({.journal_dir = journal});
+  server::Deployment deployment(
+      {.journal = server::DurabilityConfig{.dir = journal}});
   SoakOptions soak;
   soak.budget = options.soak_budget;
   soak.seed = options.seed;
-  const SoakReport report = run_soak(harness, 1, soak);
-  harness.stop();
+  const SoakReport report = run_soak(deployment, 1, soak);
+  deployment.stop();
   std::printf(
       "soak: %zu durable churn rounds in %lld ms\n"
       "  every round finalized identical to control: %s\n"
@@ -119,14 +125,7 @@ int run_soak_scenario(const ScenarioOptions& options) {
 }
 
 int run_crash_churn_scenario(const ScenarioOptions& options) {
-  if (!options.spawn) {
-    std::fprintf(stderr,
-                 "crash-churn needs a child-server spawner (host binary "
-                 "must support its child flag)\n");
-    return 2;
-  }
-  const CrashChurnOutcome outcome =
-      run_crash_churn(options.work_dir, options.spawn);
+  const CrashChurnOutcome outcome = run_crash_churn(options.work_dir);
   std::printf(
       "crash-churn: kill -9 with %zu reported, %zu missing, torn frame in "
       "flight\n"
@@ -161,6 +160,33 @@ int run_scenario(const std::string& name, const ScenarioOptions& options) {
     std::fprintf(stderr, " %s", n.c_str());
   std::fprintf(stderr, "\n");
   return 2;
+}
+
+bool results_identical(const server::RoundResult& want,
+                       const server::RoundResult& got) {
+  const auto want_cells = want.aggregate.cells();
+  const auto got_cells = got.aggregate.cells();
+  bool identical = want_cells.size() == got_cells.size() &&
+                   want.users_threshold == got.users_threshold &&
+                   want.distribution == got.distribution &&
+                   want.reports == got.reports && want.roster == got.roster;
+  for (std::size_t i = 0; identical && i < want_cells.size(); ++i)
+    identical = want_cells[i] == got_cells[i];
+  return identical;
+}
+
+std::uint64_t stat(std::uint16_t stats_port, const std::string& name) {
+  return server::stats_value(server::stats_http_get(stats_port), name);
+}
+
+std::size_t open_fds() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  std::size_t count = 0;
+  while (::readdir(dir) != nullptr) ++count;
+  ::closedir(dir);
+  // Subtract ".", ".." and the dirfd opendir itself holds.
+  return count >= 3 ? count - 3 : 0;
 }
 
 }  // namespace eyw::scenario

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "scenario/churn.hpp"
+#include "scenario/scenario.hpp"
 
 namespace eyw::scenario {
 
@@ -17,14 +18,14 @@ namespace {
 /// observation, not a later re-read: background journal maintenance
 /// (segment rotation, directory fsync) legitimately holds an extra fd for
 /// a moment, and a re-read racing it is not a leak.
-std::optional<std::size_t> settle(ServerHarness& harness,
+std::optional<std::size_t> settle(std::uint16_t stats_port,
                                   std::size_t fd_baseline) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (std::chrono::steady_clock::now() < deadline) {
     const std::size_t fds = open_fds();
-    if (harness.server().active_connections() == 0 &&
-        harness.dispatcher().pending() == 0 && fds <= fd_baseline)
+    if (stat(stats_port, "active_connections") == 0 &&
+        stat(stats_port, "dispatch_pending") == 0 && fds <= fd_baseline)
       return fds;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -33,8 +34,9 @@ std::optional<std::size_t> settle(ServerHarness& harness,
 
 }  // namespace
 
-SoakReport run_soak(ServerHarness& harness, std::uint64_t first_round,
-                    const SoakOptions& options) {
+SoakReport run_soak(server::Deployment& deployment,
+                    std::uint64_t first_round, const SoakOptions& options) {
+  const std::uint16_t stats_port = deployment.stats_port();
   SoakReport report;
   report.all_rounds_ok = true;
   const auto start = std::chrono::steady_clock::now();
@@ -47,7 +49,7 @@ SoakReport run_soak(ServerHarness& harness, std::uint64_t first_round,
   {
     const std::uint64_t warm_seed = options.seed + round;
     const ChurnOutcome warm = run_churn_round(
-        harness, round,
+        deployment, round,
         ChurnSchedule::make(options.roster, options.churn_rate, warm_seed),
         warm_seed);
     if (!warm.ok()) {
@@ -55,7 +57,7 @@ SoakReport run_soak(ServerHarness& harness, std::uint64_t first_round,
       report.first_failed_round = round;
       return report;
     }
-    (void)settle(harness, static_cast<std::size_t>(-1));
+    (void)settle(stats_port, static_cast<std::size_t>(-1));
     ++round;
   }
   const std::size_t fd_baseline = open_fds();
@@ -63,9 +65,8 @@ SoakReport run_soak(ServerHarness& harness, std::uint64_t first_round,
   // legitimately misses while the pool fills and may journal through the
   // legacy path during recovery replay — only growth per subsequent round
   // is a regression.
-  const std::uint64_t miss_baseline = harness.server().stats().reactor.pool_misses;
-  const std::uint64_t copy_baseline =
-      harness.server().stats().reactor.bytes_copied_ingest;
+  const std::uint64_t miss_baseline = stat(stats_port, "pool_misses");
+  const std::uint64_t copy_baseline = stat(stats_port, "bytes_copied_ingest");
   for (;;) {
     const std::chrono::milliseconds elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -77,22 +78,20 @@ SoakReport run_soak(ServerHarness& harness, std::uint64_t first_round,
     const ChurnSchedule schedule =
         ChurnSchedule::make(options.roster, options.churn_rate, round_seed);
     const ChurnOutcome outcome =
-        run_churn_round(harness, round, schedule, round_seed);
+        run_churn_round(deployment, round, schedule, round_seed);
 
     SoakRound sample;
     sample.round = round;
     sample.round_ok = outcome.ok();
     const std::optional<std::size_t> settled_fds =
-        settle(harness, fd_baseline);
+        settle(stats_port, fd_baseline);
     sample.settled = settled_fds.has_value();
     sample.open_fds = settled_fds.value_or(open_fds());
-    sample.active_connections = harness.server().active_connections();
-    sample.dispatch_pending = harness.dispatcher().pending();
-    const proto::ReactorCounters& reactor = harness.server().stats().reactor;
-    sample.pool_misses = reactor.pool_misses;
-    sample.bytes_copied_ingest = reactor.bytes_copied_ingest;
-    sample.journal_reencodes =
-        harness.durable() ? harness.durable()->journal_reencodes() : 0;
+    sample.active_connections = stat(stats_port, "active_connections");
+    sample.dispatch_pending = stat(stats_port, "dispatch_pending");
+    sample.pool_misses = stat(stats_port, "pool_misses");
+    sample.bytes_copied_ingest = stat(stats_port, "bytes_copied_ingest");
+    sample.journal_reencodes = stat(stats_port, "journal_reencodes");
     report.samples.push_back(sample);
     ++report.rounds;
 
@@ -120,8 +119,8 @@ SoakReport run_soak(ServerHarness& harness, std::uint64_t first_round,
         report.pool_misses_flat && s.pool_misses <= miss_baseline;
     report.ingest_copies_flat =
         report.ingest_copies_flat && s.bytes_copied_ingest <= copy_baseline;
-    // Absolute zero, not a baseline: the harness wires frame capture into
-    // every endpoint, so even the warmup round must not re-encode.
+    // Absolute zero, not a baseline: the deployment wires frame capture
+    // into its endpoint, so even the warmup round must not re-encode.
     report.journal_reencodes_zero =
         report.journal_reencodes_zero && s.journal_reencodes == 0;
   }

@@ -1,17 +1,17 @@
-// SoakRunner: back-to-back durable churn rounds against one long-lived
-// harness for a bounded wall-clock budget, with leak detection between
-// rounds.
+// SoakRunner: back-to-back durable churn rounds against one long-lived,
+// journaled server::Deployment for a bounded wall-clock budget, with leak
+// detection between rounds.
 //
 // What a multi-round service leaks that a single-round test never sees:
 // file descriptors (client channels reaped late, journal segments left
 // open), reactor channels (server-side connection structs outliving their
 // sockets), and dispatcher lanes (queue depth that never drains back to
-// zero). After every round the runner waits for the stack to settle and
-// samples all three through /proc and the stats endpoint; a soak passes
-// only if every round finalized bit-identically to its control AND every
-// gauge returned to its baseline every single round — zero growth, not
-// "growth below a threshold", because on a fixed round shape any upward
-// drift is a leak.
+// zero). After every round the runner waits for the stack to settle, then
+// samples the fd count from /proc and every other gauge off /stats with
+// scenario::stat, as an operator would. A soak passes only if every round
+// finalized bit-identically to its control AND every gauge returned to its
+// baseline every single round — zero growth, not "growth below a
+// threshold", because on a fixed round shape any upward drift is a leak.
 #pragma once
 
 #include <chrono>
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "scenario/harness.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 
@@ -63,7 +63,7 @@ struct SoakReport {
   /// round must never re-encode a submission it captured off the wire.
   bool pool_misses_flat = false;
   bool ingest_copies_flat = false;
-  bool journal_reencodes_zero = false;  // vacuously true without a journal
+  bool journal_reencodes_zero = false;
   std::uint64_t first_failed_round = 0;
 
   [[nodiscard]] bool ok() const noexcept {
@@ -73,10 +73,11 @@ struct SoakReport {
   }
 };
 
-/// Drive durable rounds against `harness` until the budget expires.
+/// Drive durable rounds against `deployment`, which must be journaled,
+/// until the budget expires.
 /// Round numbers continue from `first_round` (must be above any round the
-/// harness has already served — rounds only move forward).
-[[nodiscard]] SoakReport run_soak(ServerHarness& harness,
+/// deployment has already served — rounds only move forward).
+[[nodiscard]] SoakReport run_soak(server::Deployment& deployment,
                                   std::uint64_t first_round,
                                   const SoakOptions& options);
 

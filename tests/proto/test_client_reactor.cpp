@@ -30,8 +30,7 @@
 #include "proto/raw_frame_io.hpp"
 #include "proto/tcp.hpp"
 #include "server/cluster.hpp"
-#include "server/dispatcher.hpp"
-#include "server/endpoint.hpp"
+#include "server/deployment.hpp"
 #include "server/remote_backend.hpp"
 
 namespace eyw::proto {
@@ -419,13 +418,13 @@ TEST(RawFrameIo, SendAllSurvivesEintrAgainstSlowReader) {
 
 TEST(ClientReactor, ThousandReporterSwarmOnTwoThreadsBitIdenticalRound) {
   // The acceptance test of the outbound refactor, both ends in this
-  // process: a server stack (2-shard cluster behind a lane-sharded
-  // dispatcher behind the epoll FrameServer) and 1024 reporter channels
-  // plus a pipelined control channel on a 2-shard client reactor. Client
-  // thread budget is measured from /proc around the reactor's lifetime;
-  // the finalized aggregate must equal the same 1024 submissions applied
-  // to an in-process cluster, bit for bit; and both sides' reactor
-  // counters must account for every connection and every frame.
+  // process: the deployed server stack (server::Deployment, admitting the
+  // whole swarm) and 1024 reporter channels plus a pipelined control
+  // channel on a 2-shard client reactor. Client thread budget is measured
+  // from /proc around the reactor's lifetime; the finalized aggregate must
+  // equal the same 1024 submissions applied to an in-process cluster, bit
+  // for bit; and both sides' reactor counters must account for every
+  // connection and every frame.
   constexpr std::size_t kReporters = 1024;
   const server::BackendConfig config{
       .cms_params = {.depth = 4, .width = 64},
@@ -433,19 +432,8 @@ TEST(ClientReactor, ThousandReporterSwarmOnTwoThreadsBitIdenticalRound) {
       .id_space = 2'000,
       .users_rule = core::ThresholdRule::kMean};
 
-  server::BackendCluster cluster(config, 2);
-  server::BackendEndpoint endpoint(cluster, /*serve_control=*/true);
-  server::AsyncDispatcher dispatcher(
-      [&](std::span<const std::uint8_t> frame) {
-        return endpoint.handle(frame);
-      },
-      /*lanes=*/2, server::cluster_lane_router(cluster),
-      server::control_plane_barrier());
-  FrameServer server(dispatcher.handler(),
-                     {.backlog = kReporters + 8,  // swarm connects in a burst
-                      .reactor_shards = 1,
-                      .max_connections = kReporters + 8});
-  dispatcher.set_frame_recycler(server.frame_recycler());
+  server::Deployment deployment(
+      {.config = config, .max_connections = kReporters + 8});
 
   const auto make_cells = [&](std::size_t i) {
     std::vector<std::uint32_t> cells(config.cms_params.cells());
@@ -463,14 +451,14 @@ TEST(ClientReactor, ThousandReporterSwarmOnTwoThreadsBitIdenticalRound) {
     EXPECT_EQ(process_threads() - threads_before, reactor.shards())
         << "client reactor spawned threads beyond its shards";
 
-    auto control = reactor.open("127.0.0.1", server.port());
+    auto control = reactor.open("127.0.0.1", deployment.port());
     server::RemoteBackend remote(*control, config);
     remote.begin_round(/*round=*/7, kReporters);
 
     std::vector<std::shared_ptr<ClientChannel>> channels;
     channels.reserve(kReporters);
     for (std::size_t i = 0; i < kReporters; ++i)
-      channels.push_back(reactor.open("127.0.0.1", server.port()));
+      channels.push_back(reactor.open("127.0.0.1", deployment.port()));
 
     std::mutex mu;
     std::condition_variable cv;
@@ -542,7 +530,7 @@ TEST(ClientReactor, ThousandReporterSwarmOnTwoThreadsBitIdenticalRound) {
     EXPECT_EQ(cc.deadline_drops, 0u);
     EXPECT_GT(cc.eventfd_wakeups, 0u);
 
-    const FrameServerStats ss = server.stats();
+    const FrameServerStats ss = deployment.server().stats();
     EXPECT_EQ(ss.reactor.connections_accepted, kReporters + 1);
     EXPECT_EQ(ss.reactor.connections_refused, 0u);
     EXPECT_EQ(ss.reactor.deadline_drops, 0u);

@@ -30,6 +30,7 @@
 #include "proto/tcp.hpp"
 #include "proto/wire.hpp"
 #include "server/cluster.hpp"
+#include "server/deployment.hpp"
 #include "server/dispatcher.hpp"
 #include "server/endpoint.hpp"
 #include "server/remote_backend.hpp"
@@ -758,13 +759,13 @@ void expect_identical(const server::RoundResult& want,
 }
 
 TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
-  // 256 logical reporters on ONE socket, full server stack (cluster
-  // behind a bounded sharded dispatcher behind the reactor), control
-  // plane on a second legacy connection: the finalized aggregate must be
-  // bit-identical to the same submissions applied in-process, with the
-  // whole swarm costing two accepted connections. The same reporters then
-  // run once more with a connection each (the version-1 lane), and that
-  // finalize must be bit-identical to the mux one: mux ≡ per-connection.
+  // 256 logical reporters on ONE socket against the deployed server stack
+  // (server::Deployment), control plane on a second legacy connection:
+  // the finalized aggregate must be bit-identical to the same submissions
+  // applied in-process, with the whole swarm costing two accepted
+  // connections. The same reporters then run once more with a connection
+  // each (the version-1 lane), and that finalize must be bit-identical to
+  // the mux one: mux ≡ per-connection.
   constexpr std::size_t kReporters = 256;
   const server::BackendConfig config{
       .cms_params = {.depth = 4, .width = 64},
@@ -779,36 +780,24 @@ TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
   };
 
   const auto run_swarm = [&](bool use_mux) {
-    server::BackendCluster cluster(config, 2);
-    server::BackendEndpoint endpoint(cluster, /*serve_control=*/true);
-    server::AsyncDispatcher dispatcher(
-        [&](std::span<const std::uint8_t> frame) {
-          return endpoint.handle(frame);
-        },
-        /*lanes=*/2, server::cluster_lane_router(cluster),
-        server::control_plane_barrier(),
-        {.max_lane_depth = 4096, .counters = &endpoint.counters()});
-    // The per-connection run opens every socket in one burst: size the
-    // accept backlog to it (a dropped SYN costs a 1 s retransmit).
-    FrameServer server(dispatcher.handler(),
-                       {.backlog = static_cast<int>(kReporters + 8),
-                        .reactor_shards = 1});
-    dispatcher.set_frame_recycler(server.frame_recycler());
+    // The per-connection run opens every socket in one burst; the
+    // deployed admission cap and accept backlog both cover it.
+    server::Deployment deployment({.config = config});
 
     ClientReactor reactor({.shards = 2});
-    auto control = reactor.open("127.0.0.1", server.port());
+    auto control = reactor.open("127.0.0.1", deployment.port());
     server::RemoteBackend remote(*control, config);
     remote.begin_round(/*round=*/7, kReporters);
 
     std::vector<std::shared_ptr<AsyncTransport>> reporters;
     reporters.reserve(kReporters);
     std::shared_ptr<MuxChannel> channel;
-    if (use_mux) channel = reactor.open_mux("127.0.0.1", server.port());
+    if (use_mux) channel = reactor.open_mux("127.0.0.1", deployment.port());
     for (std::size_t i = 0; i < kReporters; ++i) {
       if (use_mux)
         reporters.push_back(channel->open_stream());
       else
-        reporters.push_back(reactor.open("127.0.0.1", server.port()));
+        reporters.push_back(reactor.open("127.0.0.1", deployment.port()));
     }
 
     std::mutex mu;
@@ -842,7 +831,7 @@ TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
     EXPECT_TRUE(remote.missing_participants().empty());
     server::RoundResult got = remote.finalize_round();
 
-    const FrameServerStats ss = server.stats();
+    const FrameServerStats ss = deployment.server().stats();
     if (use_mux) {
       EXPECT_EQ(ss.reactor.connections_accepted, 2u)
           << "control + one mux socket, nothing per reporter";
@@ -853,8 +842,9 @@ TEST(MuxEndToEnd, MuxSwarmRoundBitIdenticalToInProcess) {
       EXPECT_EQ(ss.reactor.mux_connections, 0u);
     }
     EXPECT_EQ(ss.reactor.streams_shed, 0u);
-    EXPECT_EQ(endpoint.counters().shed_ingest.load(), 0u);
-    EXPECT_EQ(endpoint.counters().reports_accepted.load(), kReporters);
+    const std::string stats = server::stats_http_get(deployment.stats_port());
+    EXPECT_EQ(server::stats_value(stats, "shed_ingest"), 0u);
+    EXPECT_EQ(server::stats_value(stats, "reports_accepted"), kReporters);
     return got;
   };
 

@@ -1,15 +1,16 @@
 // Custom gtest entry point: the crash-churn tests respawn THIS binary as
-// the journaled scenario server (fork + execl of /proc/self/exe), so the
-// child flag must be recognized before gtest ever parses argv.
+// the journaled server (`--serve 0 --once --journal DIR --port-file PATH`,
+// fork + execl of /proc/self/exe), so `--serve` must reach the serve loop
+// before gtest ever parses argv.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "scenario/crash_churn.hpp"
+#include "server/deployment.hpp"
 
 int main(int argc, char** argv) {
-  if (argc == 4 && std::strcmp(argv[1], "--scenario-server-child") == 0)
-    return eyw::scenario::serve_child_main(argv[2], argv[3]);
+  if (argc >= 2 && std::strcmp(argv[1], "--serve") == 0)
+    return eyw::server::serve_main(argc, argv);
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }

@@ -4,17 +4,18 @@
 #include <gtest/gtest.h>
 
 #include "scenario/churn.hpp"
-#include "scenario/harness.hpp"
+#include "scenario/scenario.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 namespace {
 
 ChurnOutcome run_once(std::size_t roster, std::uint64_t seed) {
-  ServerHarness harness;
+  server::Deployment deployment;
   const ChurnOutcome outcome =
-      run_churn_round(harness, 1, ChurnSchedule::make(roster, 0.30, seed),
+      run_churn_round(deployment, 1, ChurnSchedule::make(roster, 0.30, seed),
                       seed);
-  harness.stop();
+  deployment.stop();
   return outcome;
 }
 
@@ -63,18 +64,18 @@ TEST(ChurnRound, SurvivesChurnIdenticalToHonestSubsetControl) {
 
 TEST(ChurnRound, ShedReportersAreRefusedAndAbsorbedBitExactly) {
   // Force a schedule where overload sheds definitely occur (rate 1.0 on a
-  // roster this size yields every style), on a harness with a tiny
-  // per-connection stream cap: every kShed reporter must be refused with
-  // a hintless kUnavailable, land on the missing list, and leave the
-  // finalize bit-identical to the honest-subset control.
-  ServerHarness harness({.max_streams_per_connection = 8});
+  // roster this size yields every style). Each kShed reporter opens a
+  // stream id above the deployed per-connection cap, so every one must be
+  // refused with a hintless kUnavailable, land on the missing list, and
+  // leave the finalize bit-identical to the honest-subset control.
+  server::Deployment deployment;
   const ChurnSchedule schedule = ChurnSchedule::make(48, 1.0, 17);
   std::size_t shed = 0;
   for (const ChurnStyle s : schedule.styles)
     if (s == ChurnStyle::kShed) ++shed;
   ASSERT_GT(shed, 0u) << "seed 17 must schedule at least one kShed";
 
-  const ChurnOutcome outcome = run_churn_round(harness, 1, schedule, 17);
+  const ChurnOutcome outcome = run_churn_round(deployment, 1, schedule, 17);
   EXPECT_EQ(outcome.sheds_attempted, shed);
   EXPECT_TRUE(outcome.sheds_refused_ok)
       << "a shed reporter saw something other than hintless kUnavailable";
@@ -84,10 +85,10 @@ TEST(ChurnRound, ShedReportersAreRefusedAndAbsorbedBitExactly) {
   EXPECT_TRUE(outcome.stats_ok);
   // The operator surface tells the same story: the reactor counted every
   // shed, and none of those frames was admitted as a report.
-  EXPECT_GE(stat(harness.stats_port(), "streams_shed"), shed);
-  EXPECT_EQ(stat(harness.stats_port(), "round_reports"),
+  EXPECT_GE(stat(deployment.stats_port(), "streams_shed"), shed);
+  EXPECT_EQ(stat(deployment.stats_port(), "round_reports"),
             outcome.schedule.reporters().size());
-  harness.stop();
+  deployment.stop();
 }
 
 TEST(ChurnRound, SameSeedIsBitIdenticalAcrossDeployments) {

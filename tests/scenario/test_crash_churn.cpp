@@ -2,10 +2,8 @@
 // connection open, torn frame half-sent, roster partially reported),
 // restart over the same journal, and prove the recovered round is the
 // round that crashed. The server child is this same test binary re-exec'd
-// with --scenario-server-child (see main.cpp).
+// with --serve (see main.cpp).
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <filesystem>
 
@@ -14,25 +12,13 @@
 namespace eyw::scenario {
 namespace {
 
-pid_t spawn_self(const std::string& journal_dir,
-                 const std::string& port_file) {
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execl("/proc/self/exe", "eyw_test_scenario", "--scenario-server-child",
-            journal_dir.c_str(), port_file.c_str(),
-            static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-  return pid;
-}
-
 TEST(CrashChurn, RecoveredRoundIsTheRoundThatCrashed) {
   const std::string work_dir =
       (std::filesystem::temp_directory_path() / "eyw-test-crash-churn")
           .string();
   std::filesystem::create_directories(work_dir);
 
-  const CrashChurnOutcome outcome = run_crash_churn(work_dir, spawn_self);
+  const CrashChurnOutcome outcome = run_crash_churn(work_dir);
 
   EXPECT_TRUE(outcome.missing_match)
       << "missing before: " << outcome.missing_before.size()

@@ -3,14 +3,14 @@
 // and the finalized aggregate never saw any of it.
 #include <gtest/gtest.h>
 
-#include "scenario/harness.hpp"
 #include "scenario/mutator.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 namespace {
 
 TEST(Mutator, CorpusCoversEveryRefusalFamily) {
-  const auto corpus = mutator_corpus(default_config(), /*round=*/1,
+  const auto corpus = mutator_corpus(server::default_config(), /*round=*/1,
                                      /*roster=*/6, /*shards=*/2);
   ASSERT_GT(corpus.size(), 15u);
 
@@ -35,9 +35,9 @@ TEST(Mutator, CorpusCoversEveryRefusalFamily) {
 }
 
 TEST(Mutator, EveryInjectionRefusedAndAccountedFor) {
-  ServerHarness harness;
-  const MutatorOutcome outcome = run_mutator(harness, 1, /*repeats=*/3);
-  harness.stop();
+  server::Deployment deployment;
+  const MutatorOutcome outcome = run_mutator(deployment, 1, /*repeats=*/3);
+  deployment.stop();
 
   EXPECT_GT(outcome.injected, 0u);
   EXPECT_EQ(outcome.refused, outcome.injected);

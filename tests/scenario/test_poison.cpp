@@ -4,17 +4,17 @@
 // report to double the weight) is refused as a duplicate.
 #include <gtest/gtest.h>
 
-#include "scenario/harness.hpp"
 #include "scenario/poison.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 namespace {
 
 TEST(Poison, ShiftIsExactlyThePoisonersContribution) {
-  ServerHarness harness;
-  const PoisonOutcome outcome =
-      run_poison_round(harness, 1, /*roster=*/6, /*poisoner=*/4, /*seed=*/77);
-  harness.stop();
+  server::Deployment deployment;
+  const PoisonOutcome outcome = run_poison_round(
+      deployment, 1, /*roster=*/6, /*poisoner=*/4, /*seed=*/77);
+  deployment.stop();
 
   EXPECT_TRUE(outcome.shift_exact);
   EXPECT_TRUE(outcome.shift_bounded);
@@ -25,10 +25,10 @@ TEST(Poison, ShiftIsExactlyThePoisonersContribution) {
 }
 
 TEST(Poison, HoldsForOtherRosterPositionsAndSeeds) {
-  ServerHarness harness;
-  const PoisonOutcome outcome =
-      run_poison_round(harness, 1, /*roster=*/5, /*poisoner=*/0, /*seed=*/3);
-  harness.stop();
+  server::Deployment deployment;
+  const PoisonOutcome outcome = run_poison_round(
+      deployment, 1, /*roster=*/5, /*poisoner=*/0, /*seed=*/3);
+  deployment.stop();
   EXPECT_TRUE(outcome.ok());
 }
 

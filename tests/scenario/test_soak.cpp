@@ -1,12 +1,12 @@
 // Soak scenario, test-sized: a couple of seconds of back-to-back durable
-// churn rounds against one long-lived harness must hold every leak gauge
-// (fds, reactor channels, dispatcher depth) flat at its baseline.
+// churn rounds against one long-lived deployment must hold every leak
+// gauge (fds, reactor channels, dispatcher depth) flat at its baseline.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
-#include "scenario/harness.hpp"
 #include "scenario/soak.hpp"
+#include "server/deployment.hpp"
 
 namespace eyw::scenario {
 namespace {
@@ -19,14 +19,15 @@ TEST(Soak, ShortSoakHoldsEveryGaugeFlat) {
 
   SoakReport report;
   {
-    ServerHarness harness({.journal_dir = journal});
+    server::Deployment deployment(
+        {.journal = server::DurabilityConfig{.dir = journal}});
     SoakOptions options;
     options.budget = std::chrono::milliseconds(2'000);
     options.min_rounds = 3;
     options.roster = 12;
     options.seed = 5;
-    report = run_soak(harness, 1, options);
-    harness.stop();
+    report = run_soak(deployment, 1, options);
+    deployment.stop();
   }
   std::filesystem::remove_all(journal);
 

@@ -21,8 +21,8 @@
 #include "proto/client_reactor.hpp"
 #include "proto/tcp.hpp"
 #include "server/cluster.hpp"
+#include "server/deployment.hpp"
 #include "server/dispatcher.hpp"
-#include "server/durable_backend.hpp"
 #include "server/endpoint.hpp"
 #include "server/remote_backend.hpp"
 #include "server/round.hpp"
@@ -182,7 +182,6 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncDispatcherAndShards) {
   });
   proto::FrameServer server(dispatcher.handler(),
                             {.reactor_shards = 3});
-  dispatcher.set_frame_recycler(server.frame_recycler());
   EXPECT_EQ(server.shards(), 3u);
   SyncLink tcp(server.port());
   RemoteBackend remote(tcp.link, backend_config());
@@ -213,10 +212,11 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncDispatcherAndShards) {
 }
 
 TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
-  // Dispatcher-shard parity: the same round through an AsyncDispatcher
-  // sharded one lane per backend shard (the full-width ingest shape) must
-  // be bit-identical to the single-lane path — per-shard submission order
-  // is preserved per lane, and aggregation observes nothing else.
+  // Dispatcher-shard parity: the same round through the deployed stack,
+  // whose AsyncDispatcher runs one lane per backend shard (the full-width
+  // ingest shape), must be bit-identical to a hand-built single-lane path —
+  // per-shard submission order is preserved per lane, and aggregation
+  // observes nothing else.
   client::HashUrlMapper mapper(backend_config().id_space);
   const std::vector<std::size_t> reporting{0, 1, 3, 4, 5};
 
@@ -228,7 +228,6 @@ TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
   });
   ASSERT_EQ(one_lane.lanes(), 1u);
   proto::FrameServer one_server(one_lane.handler(), {.reactor_shards = 1});
-  one_lane.set_frame_recycler(one_server.frame_recycler());
   SyncLink one_link(one_server.port());
   RemoteBackend one_remote(one_link.link, backend_config());
   auto exts_one = make_fleet(mapper, 6);
@@ -237,20 +236,10 @@ TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
                              one_remote, /*seed=*/79);
   const RoundResult want = one_coord.run_round(0, reporting);
 
-  // Lane-per-shard path.
-  BackendCluster sharded_cluster(backend_config(), 2);
-  BackendEndpoint sharded_endpoint(sharded_cluster, /*serve_control=*/true);
-  AsyncDispatcher sharded(
-      [&](std::span<const std::uint8_t> frame) {
-        return sharded_endpoint.handle(frame);
-      },
-      /*lanes=*/2, cluster_lane_router(sharded_cluster),
-      control_plane_barrier());
-  ASSERT_EQ(sharded.lanes(), 2u);
-  proto::FrameServer sharded_server(sharded.handler(),
-                                    {.reactor_shards = 2});
-  sharded.set_frame_recycler(sharded_server.frame_recycler());
-  SyncLink sharded_link(sharded_server.port());
+  // Lane-per-shard path: the deployed stack.
+  Deployment sharded({.config = backend_config()});
+  ASSERT_EQ(sharded.dispatcher().lanes(), 2u);
+  SyncLink sharded_link(sharded.port());
   RemoteBackend sharded_remote(sharded_link.link, backend_config());
   auto exts_sharded = make_fleet(mapper, 6);
   RoundCoordinator sharded_coord(
@@ -267,7 +256,7 @@ TEST(TcpRound, FullRoundBitIdenticalWithShardedDispatcherLanes) {
   EXPECT_EQ(want.users_threshold, got.users_threshold);
   EXPECT_EQ(want.reports, got.reports);
   EXPECT_EQ(want.roster, got.roster);
-  EXPECT_EQ(sharded.pending(), 0u);
+  EXPECT_EQ(sharded.dispatcher().pending(), 0u);
 }
 
 TEST(TcpRound, FullRoundBitIdenticalThroughAsyncClientChannel) {
@@ -285,18 +274,10 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncClientChannel) {
                        loop_cluster, /*seed=*/79);
   const RoundResult want = ref.run_round(0, reporting);
 
-  BackendCluster tcp_cluster(backend_config(), 2);
-  BackendEndpoint endpoint(tcp_cluster, /*serve_control=*/true);
-  AsyncDispatcher dispatcher(
-      [&](std::span<const std::uint8_t> frame) {
-        return endpoint.handle(frame);
-      },
-      /*lanes=*/2, cluster_lane_router(tcp_cluster),
-      control_plane_barrier());
-  proto::FrameServer server(dispatcher.handler(), {.reactor_shards = 1});
+  Deployment deployment({.config = backend_config()});
 
   proto::ClientReactor reactor({.shards = 1, .backoff_jitter_seed = 5});
-  auto channel = reactor.open("127.0.0.1", server.port());
+  auto channel = reactor.open("127.0.0.1", deployment.port());
   RemoteBackend remote(*channel, backend_config());  // pipelined mode
   auto exts_async = make_fleet(mapper, 6);
   RoundCoordinator live(group(),
@@ -318,7 +299,7 @@ TEST(TcpRound, FullRoundBitIdenticalThroughAsyncClientChannel) {
   // The channel's byte accounting mirrors the server's, envelope bytes
   // only — pipelined or not, nothing is lost or invented on the wire.
   const proto::TransportStats client_stats = channel->stats();
-  const proto::FrameServerStats server_stats = server.stats();
+  const proto::FrameServerStats server_stats = deployment.server().stats();
   EXPECT_EQ(server_stats.bytes_received, client_stats.bytes_sent);
   EXPECT_EQ(server_stats.bytes_sent, client_stats.bytes_received);
   EXPECT_EQ(server_stats.messages_received, client_stats.messages_sent);
@@ -351,26 +332,16 @@ TEST(TcpRound, JournalModesFinalizeIdenticalWithJournalIoOnTheWriter) {
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     const std::string journal_dir = tmpl;
     {
-      BackendCluster cluster(backend_config(), 2);
-      DurabilityConfig durability;
-      durability.dir = journal_dir;
-      durability.sync_each_submit = mode == Journal::kSyncEachSubmit;
-      std::optional<DurableBackend> durable;
-      if (mode != Journal::kOff) durable.emplace(cluster, durability);
-      BackendEndpoint endpoint(
-          durable ? static_cast<RoundBackend&>(*durable)
-                  : static_cast<RoundBackend&>(cluster),
-          &cluster, /*serve_control=*/true);
-      AsyncDispatcher dispatcher(
-          [&](std::span<const std::uint8_t> frame) {
-            return endpoint.handle(frame);
-          },
-          /*lanes=*/2, cluster_lane_router(cluster), control_plane_barrier());
-      proto::FrameServer server(dispatcher.handler(), {.reactor_shards = 2});
-      dispatcher.set_frame_recycler(server.frame_recycler());
+      std::optional<DurabilityConfig> journal;
+      if (mode != Journal::kOff)
+        journal = DurabilityConfig{
+            .dir = journal_dir,
+            .sync_each_submit = mode == Journal::kSyncEachSubmit};
+      Deployment deployment(
+          {.config = backend_config(), .journal = std::move(journal)});
 
       proto::ClientReactor reactor({.shards = 1});
-      auto channel = reactor.open("127.0.0.1", server.port());
+      auto channel = reactor.open("127.0.0.1", deployment.port());
       RemoteBackend remote(*channel, backend_config());  // pipelined mode
       auto exts = make_fleet(mapper, kFleet);
       RoundCoordinator live(group(), std::span<client::BrowserExtension>(exts),
@@ -386,11 +357,10 @@ TEST(TcpRound, JournalModesFinalizeIdenticalWithJournalIoOnTheWriter) {
       EXPECT_EQ(want.users_threshold, got.users_threshold);
       EXPECT_EQ(want.reports, got.reports);
 
-      if (durable) {
+      if (const DurableBackend* durable = deployment.durable()) {
         const storage::DurabilityStats stats = durable->stats();
         EXPECT_GT(stats.records, 0u);
         EXPECT_EQ(stats.off_writer_io, 0u);
-        durable->shutdown();
       }
     }
     std::filesystem::remove_all(journal_dir);

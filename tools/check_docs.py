@@ -4,8 +4,11 @@
 Verifies that every relative link in the repo's markdown resolves to an
 existing file, that every fragment (`file.md#anchor`, `#anchor`)
 matches a heading in the target file under GitHub's slugging rules, and
-that the cross-references in REQUIRED_LINKS are present. Run from
-anywhere:
+that the cross-references in REQUIRED_LINKS are present. It also checks
+that every `--flag` on a `./build/quickstart` command line inside a
+fenced code block of README.md or docs/ appears in quickstart's usage
+string (examples/quickstart.cpp), so a deleted flag cannot linger in a
+documented command. Run from anywhere:
 
     python3 tools/check_docs.py
 
@@ -37,9 +40,20 @@ REQUIRED_LINKS = [
     ("docs/perf.md", "../bench/e2e/README.md"),
 ]
 
+# Documents whose quickstart command lines must match its usage string.
+QUICKSTART_DOCS = [os.path.join(REPO, "README.md")] + [
+    doc for doc in DOC_GLOBS
+    if os.path.dirname(doc) == os.path.join(REPO, "docs")
+]
+QUICKSTART_SRC = os.path.join(REPO, "examples", "quickstart.cpp")
+
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+STRING_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+# Where one shell command ends: a trailing comment or a control operator.
+COMMAND_END_RE = re.compile(r"\s(?:#|&&|\|\||[|;&])(?:\s|$)")
 
 
 def github_slug(heading: str) -> str:
@@ -124,8 +138,45 @@ def check():
     return errors
 
 
+def quickstart_usage_flags() -> set:
+    """Flags in the usage string quickstart prints for a bad mode: the
+    string literals of the statement that starts `"usage: quickstart [`."""
+    with open(QUICKSTART_SRC, encoding="utf-8") as fh:
+        src = fh.read()
+    start = src.find('"usage: quickstart [')
+    if start < 0:
+        return set()
+    statement = src[start:src.find(";", start)]
+    return set(FLAG_RE.findall("".join(STRING_LITERAL_RE.findall(statement))))
+
+
+def check_quickstart_flags():
+    usage = quickstart_usage_flags()
+    if not usage:
+        return ["examples/quickstart.cpp: usage string not found"]
+    errors = []
+    for doc in QUICKSTART_DOCS:
+        rel_doc = os.path.relpath(doc, REPO)
+        in_fence = False
+        with open(doc, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if CODE_FENCE_RE.match(line):
+                    in_fence = not in_fence
+                    continue
+                at = line.find("./build/quickstart")
+                if not in_fence or at < 0:
+                    continue
+                command = COMMAND_END_RE.split(line[at:].rstrip("\n"))[0]
+                for flag in FLAG_RE.findall(command):
+                    if flag not in usage:
+                        errors.append(
+                            f"{rel_doc}:{lineno}: {flag} is not in "
+                            f"quickstart's usage string")
+    return errors
+
+
 def main():
-    errors = check()
+    errors = check() + check_quickstart_flags()
     for err in errors:
         print(err)
     checked = len(DOC_GLOBS)
