@@ -71,18 +71,15 @@ struct DoneCarrier {
 
 }  // namespace
 
-/// One submitted exchange: the framed request bytes, where to deliver the
-/// outcome, and its deadline. Lives in the channel's FIFO until its reply
-/// (or failure) — the framing is strictly request-ordered on both ends, so
-/// the front of the FIFO always owns the next incoming frame. On a mux
-/// channel the FIFO is per stream (the server guarantees per-stream reply
-/// order, not cross-stream order).
+/// One submitted exchange on the wire: where to deliver the outcome, and
+/// its deadline. Lives in its stream's FIFO until its reply (or failure) —
+/// the framing is strictly request-ordered per stream on both ends, so
+/// the front of the FIFO always owns the stream's next incoming frame.
 struct PendingExchange {
-  std::vector<std::uint8_t> framed;  // 4-byte prefix + envelope
   AsyncCompletionFn done;
   Reactor::TimerId deadline = 0;
   bool deadline_armed = false;
-  std::uint32_t stream = 0;  // mux stream id (0 = legacy lane)
+  std::uint32_t stream = 0;
   /// Un-wrapped version-1 request bytes, kept only while the exchange may
   /// still be resubmitted after a hinted server shed (a shed frame was
   /// never applied, so the no-replay rule does not bind).
@@ -126,8 +123,11 @@ struct ChannelCore : std::enable_shared_from_this<ChannelCore> {
   St st = St::kDisconnected;
   int fd = -1;
   std::uint32_t interest = 0;
-  std::deque<PendingExchange> pending;  // FIFO reply correlation
-  std::vector<std::uint8_t> out;        // unsent request bytes
+  /// Stream 0's FIFO: every exchange of a connection that negotiated
+  /// nothing (a ClientChannel, or a MuxChannel against a pre-Hello peer),
+  /// and the Hello itself.
+  std::deque<PendingExchange> pending;
+  std::vector<std::uint8_t> out;  // unsent request bytes
   std::size_t out_off = 0;
   FrameAssembler assembler{kMaxTcpFrameBytes};
 
@@ -145,16 +145,20 @@ struct ChannelCore : std::enable_shared_from_this<ChannelCore> {
   /// completions still fire first, per the ClientChannel contract.
   bool released = false;
 
-  // ---- mux state (cores opened via open_mux; loop-thread-only except
-  // the atomics) ----
-  bool mux_enabled = false;
+  // ---- streams (loop-thread-only except the atomics) ----
+  bool mux_enabled = false;  // opened via open_mux: asks for kCapMux
   int mux_retry_max = 0;
-  /// Per-connection negotiation state. Reset to kNone by drop_socket —
-  /// every fresh connection re-runs the Hello handshake.
+  /// Per-connection negotiation state. Reset to kNone by drop_socket; a
+  /// fresh connection resolves it again — kOff at once for a plain
+  /// channel, through the Hello handshake for a mux one.
   enum class Neg { kNone, kPending, kOn, kOff };
   Neg neg = Neg::kNone;
   /// Facade-readable mirror of `neg` (0/1/2/3 in declaration order).
   std::atomic<int> neg_observed{0};
+  void set_neg(Neg n) noexcept {
+    neg = n;
+    neg_observed.store(static_cast<int>(n), std::memory_order_relaxed);
+  }
   /// One logical channel's queues: replies correlate FIFO within the
   /// stream; the outbox holds framed-but-unsent requests so the writer
   /// can interleave streams fairly instead of bursting one.
@@ -167,7 +171,8 @@ struct ChannelCore : std::enable_shared_from_this<ChannelCore> {
   /// Round-robin scheduler: stream ids with a non-empty outbox, each
   /// yielding one frame per turn of the fill loop.
   std::deque<std::uint32_t> write_ring;
-  /// Submissions made before the Hello handshake resolved, in order.
+  /// Submissions made before the connection and its negotiation
+  /// resolved, in order.
   struct Staged {
     std::uint32_t stream = 0;
     std::vector<std::uint8_t> frame;
@@ -303,20 +308,19 @@ struct ClientReactorImpl {
       disarm_deadline(*core, ex);
       deliver_error(*core, ex, err);
     }
-    drain_mux_queues(core, [&](PendingExchange& ex) {
+    drain_stream_queues(core, [&](PendingExchange& ex) {
       deliver_error(*core, ex, err);
     });
     maybe_reap(core);
   }
 
-  /// Pull every mux-side exchange (per-stream pendings, then staged
-  /// submissions in order) out of the core and hand each to `sink` with
-  /// its deadline disarmed. No-op for non-mux cores.
+  /// Pull every exchange not on stream 0's FIFO (per-stream pendings, then
+  /// staged submissions in order) out of the core and hand each to `sink`
+  /// with its deadline disarmed.
   template <typename Sink>
-  void drain_mux_queues(const std::shared_ptr<ChannelCore>& core,
-                        Sink&& sink) {
+  void drain_stream_queues(const std::shared_ptr<ChannelCore>& core,
+                           Sink&& sink) {
     ChannelCore& c = *core;
-    if (!c.mux_enabled) return;
     std::unordered_map<std::uint32_t, ChannelCore::StreamQ> doomed;
     doomed.swap(c.streams);
     c.write_ring.clear();
@@ -347,8 +351,8 @@ struct ClientReactorImpl {
       disarm_deadline(*core, ex);
       deliver_ok(*core, ex, {});
     }
-    drain_mux_queues(core,
-                     [&](PendingExchange& ex) { deliver_ok(*core, ex, {}); });
+    drain_stream_queues(
+        core, [&](PendingExchange& ex) { deliver_ok(*core, ex, {}); });
     maybe_reap(core);
   }
 
@@ -363,9 +367,8 @@ struct ClientReactorImpl {
     core.out.clear();
     core.out_off = 0;
     core.assembler = FrameAssembler{kMaxTcpFrameBytes};
-    // Capabilities are per connection: the next connect re-runs Hello.
-    core.neg = ChannelCore::Neg::kNone;
-    core.neg_observed.store(0, std::memory_order_relaxed);
+    // Capabilities are per connection: the next connect resolves them anew.
+    core.set_neg(ChannelCore::Neg::kNone);
   }
 
   /// A released channel whose completions have all fired is dead state:
@@ -382,89 +385,44 @@ struct ClientReactorImpl {
 
   void submit(const std::shared_ptr<ChannelCore>& core,
               std::vector<std::uint8_t> frame, AsyncCompletionFn done,
-              std::uint32_t stream = 0, int retries_override = -1) {
+              std::uint32_t stream, int retries_override = -1) {
     ChannelCore& c = *core;
     exchanges_started.fetch_add(1, std::memory_order_relaxed);
     c.msgs_sent.fetch_add(1, std::memory_order_relaxed);
     c.bytes_sent.fetch_add(frame.size(), std::memory_order_relaxed);
-    if (c.mux_enabled) {
-      const int retries =
-          retries_override >= 0 ? retries_override : c.mux_retry_max;
-      if (c.st == ChannelCore::St::kConnected &&
-          c.neg != ChannelCore::Neg::kPending) {
-        try {
-          route_mux_submission(core, stream, std::move(frame),
-                               std::move(done), retries);
-          pump(core);
-        } catch (...) {
-          // Post-commit failure: the exchange sits in its stream queue,
-          // so failing the channel completes it with everything else.
-          fail_all(core, std::current_exception());
-        }
-        return;
-      }
-      // Handshake (or connect) unresolved: stage in order. Flushed by
-      // on_hello_reply; failed with everything else on teardown. Until
-      // push_back succeeds only `st` reaches the completion (its move is
-      // noexcept, so a throwing push leaves it intact).
-      ChannelCore::Staged st{.stream = stream,
-                             .frame = std::move(frame),
-                             .done = std::move(done),
-                             .retries_left = retries};
+    const int retries =
+        retries_override >= 0 ? retries_override : c.mux_retry_max;
+    if (c.st == ChannelCore::St::kConnected &&
+        c.neg != ChannelCore::Neg::kPending) {
       try {
-        c.staged.push_back(std::move(st));
+        route_mux_submission(core, stream, std::move(frame), std::move(done),
+                             retries);
+        pump(core);
       } catch (...) {
-        PendingExchange ex;
-        ex.done = std::move(st.done);
-        deliver_error(c, ex, std::current_exception());
-        return;
-      }
-      try {
-        if (c.st == ChannelCore::St::kDisconnected)
-          begin_connect_phase(core);
-      } catch (...) {
+        // Post-commit failure: the exchange sits in its stream queue, so
+        // failing the channel completes it with everything else.
         fail_all(core, std::current_exception());
       }
       return;
     }
-    // Until the exchange is in the pending FIFO, its completion is only
-    // reachable through `ex` — an allocation failure here must fail it
-    // directly, not vanish into the loop's exception backstop. (The
-    // push_back can only throw from allocation: PendingExchange's move is
-    // noexcept, so `ex` stays intact.)
-    PendingExchange ex;
-    ex.done = std::move(done);
+    // Connection or negotiation unresolved: stage in order. Flushed once
+    // both resolve (flush_staged); failed with everything else on
+    // teardown. Until push_back succeeds only `st` reaches the completion
+    // (its move is noexcept, so a throwing push leaves it intact).
+    ChannelCore::Staged st{.stream = stream,
+                           .frame = std::move(frame),
+                           .done = std::move(done),
+                           .retries_left = retries};
     try {
-      ex.framed = raw::with_prefix(frame);
-      c.pending.push_back(std::move(ex));
+      c.staged.push_back(std::move(st));
     } catch (...) {
+      PendingExchange ex;
+      ex.done = std::move(st.done);
       deliver_error(c, ex, std::current_exception());
       return;
     }
-    // From here pending owns it: any failure below fails the channel,
-    // which completes every pending exchange — nothing can be stranded
-    // unsent with no deadline armed.
     try {
-      switch (c.st) {
-        case ChannelCore::St::kDisconnected:
-          begin_connect_phase(core);
-          break;
-        case ChannelCore::St::kConnecting:
-        case ChannelCore::St::kBackoff:
-          break;  // queued; flushed (and deadline-armed) once connected
-        case ChannelCore::St::kConnected: {
-          PendingExchange& queued = c.pending.back();
-          c.out.insert(c.out.end(), queued.framed.begin(),
-                       queued.framed.end());
-          // The request bytes now live in the out buffer and exchanges
-          // are never replayed — keeping the copy would double peak
-          // memory across a swarm's in-flight frames.
-          queued.framed = {};
-          arm_exchange_deadline(core, queued);
-          pump(core);
-          break;
-        }
-      }
+      if (c.st == ChannelCore::St::kDisconnected) begin_connect_phase(core);
     } catch (...) {
       fail_all(core, std::current_exception());
     }
@@ -490,12 +448,13 @@ struct ClientReactorImpl {
     ex.deadline_armed = true;
   }
 
-  // ----------------------------------------------------------------- mux
+  // ------------------------------------------------------------- streams
 
-  /// Queue one resolved submission. Mux on: wrap the frame onto its
-  /// stream, join that stream's FIFO + outbox (the fill loop interleaves
-  /// streams fairly). Mux off, or the legacy lane (stream 0): the global
-  /// FIFO — an un-negotiated server answers strictly in request order, so
+  /// Queue one submission on a connection whose negotiation resolved. Mux
+  /// on: wrap the frame onto its stream, join that stream's FIFO + outbox
+  /// (the fill loop interleaves streams fairly). Mux off, or stream 0:
+  /// stream 0's FIFO, framed straight into the out buffer — an
+  /// un-negotiated server answers strictly in request order, so
   /// shared-FIFO correlation stays exact, just serialized. Pre-commit
   /// failures (allocation while encoding) complete `done` directly; a
   /// throw after the exchange joined a queue is the caller's cue to fail
@@ -546,16 +505,13 @@ struct ClientReactorImpl {
       return;
     }
     try {
-      ex.framed = raw::with_prefix(frame);
       c.pending.push_back(std::move(ex));
     } catch (...) {
       deliver_error(c, ex, std::current_exception());
       return;
     }
-    PendingExchange& queued = c.pending.back();
-    c.out.insert(c.out.end(), queued.framed.begin(), queued.framed.end());
-    queued.framed = {};
-    arm_exchange_deadline(core, queued);
+    raw::append_framed(c.out, frame);
+    arm_exchange_deadline(core, c.pending.back());
   }
 
   /// Move outbox frames into the socket buffer, one frame per ready
@@ -583,11 +539,10 @@ struct ClientReactorImpl {
   }
 
   /// First exchange on every fresh mux connection: Hello(kCapMux), sent
-  /// on the legacy lane so it correlates FIFO whatever the peer speaks.
+  /// on stream 0 so it correlates FIFO whatever the peer speaks.
   void start_negotiation(const std::shared_ptr<ChannelCore>& core) {
     ChannelCore& c = *core;
-    c.neg = ChannelCore::Neg::kPending;
-    c.neg_observed.store(1, std::memory_order_relaxed);
+    c.set_neg(ChannelCore::Neg::kPending);
     exchanges_started.fetch_add(1, std::memory_order_relaxed);
     try {
       PendingExchange hx;
@@ -596,10 +551,8 @@ struct ClientReactorImpl {
         if (const auto locked = weak.lock())
           on_hello_reply(locked, std::move(res));
       };
-      const std::vector<std::uint8_t> framed =
-          raw::with_prefix(Hello{.capabilities = kCapMux}.encode(0));
       c.pending.push_back(std::move(hx));
-      c.out.insert(c.out.end(), framed.begin(), framed.end());
+      raw::append_framed(c.out, Hello{.capabilities = kCapMux}.encode(0));
       arm_exchange_deadline(core, c.pending.back());
       pump(core);
     } catch (...) {
@@ -627,35 +580,39 @@ struct ClientReactorImpl {
         on = false;
       }
     }
-    c.neg = on ? ChannelCore::Neg::kOn : ChannelCore::Neg::kOff;
-    c.neg_observed.store(on ? 2 : 3, std::memory_order_relaxed);
+    c.set_neg(on ? ChannelCore::Neg::kOn : ChannelCore::Neg::kOff);
     if (on) mux_negotiated.fetch_add(1, std::memory_order_relaxed);
     flush_staged(core);
   }
 
+  /// Route every staged submission, in order, now that the connection and
+  /// its negotiation resolved. Each leaves `staged` only as it is routed,
+  /// so a mid-flush failure still completes the rest through fail_all.
   void flush_staged(const std::shared_ptr<ChannelCore>& core) {
     ChannelCore& c = *core;
-    std::deque<ChannelCore::Staged> items;
-    items.swap(c.staged);
     try {
-      for (ChannelCore::Staged& st : items)
+      while (!c.staged.empty()) {
+        ChannelCore::Staged st = std::move(c.staged.front());
+        c.staged.pop_front();
         route_mux_submission(core, st.stream, std::move(st.frame),
                              std::move(st.done), st.retries_left);
+      }
       pump(core);
     } catch (...) {
       fail_all(core, std::current_exception());
     }
   }
 
-  /// Reply dispatch for a negotiated connection: strip the stream id in
-  /// place and hand the version-1 bytes to that stream's FIFO head.
-  /// Returns false when the channel was torn down.
-  bool deliver_mux_reply(const std::shared_ptr<ChannelCore>& core,
-                         std::vector<std::uint8_t> frame) {
+  /// Reply dispatch: on a negotiated connection strip the stream id in
+  /// place (otherwise every reply is stream 0's) and hand the version-1
+  /// bytes to that stream's FIFO head. Returns false when the channel was
+  /// torn down.
+  bool deliver_reply(const std::shared_ptr<ChannelCore>& core,
+                     std::vector<std::uint8_t> frame) {
     ChannelCore& c = *core;
     std::uint32_t stream = 0;
     try {
-      stream = strip_stream_inplace(frame);
+      if (c.neg == ChannelCore::Neg::kOn) stream = strip_stream_inplace(frame);
     } catch (const ProtoError&) {
       fail_all(core, make_error(ErrorCode::kInternal,
                                 "client recv: undecodable mux envelope"));
@@ -859,28 +816,19 @@ struct ClientReactorImpl {
     const int one = 1;
     (void)::setsockopt(c.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     c.st = ChannelCore::St::kConnected;
+    // A mux channel sends Hello before anything else; staged submissions
+    // flush when its answer resolves the capability (they must not hit
+    // the wire wrapped if the peer turns out not to speak streams). A
+    // plain channel asks for nothing: it is stream 0 of a connection that
+    // negotiated nothing, and flushes now. Either way each exchange's
+    // io_timeout clock starts at its flush (the connect phase had its own
+    // bound).
     if (c.mux_enabled) {
-      // Hello goes out before anything else; staged submissions flush
-      // when its answer resolves the capability (they must not hit the
-      // wire wrapped if the peer turns out not to speak streams).
       start_negotiation(core);
       return;
     }
-    // Flush everything queued during the connect phase; each exchange's
-    // io_timeout clock starts now (the connect phase had its own bound).
-    // Guarded: a mid-flush allocation failure must fail the channel (and
-    // so complete every queued exchange), not leave some with no bytes
-    // out and no deadline armed.
-    try {
-      for (PendingExchange& ex : c.pending) {
-        c.out.insert(c.out.end(), ex.framed.begin(), ex.framed.end());
-        ex.framed = {};  // flushed; never replayed (see submit())
-        arm_exchange_deadline(core, ex);
-      }
-      pump(core);
-    } catch (...) {
-      fail_all(core, std::current_exception());
-    }
+    c.set_neg(ChannelCore::Neg::kOff);
+    flush_staged(core);
   }
 
   // ----------------------------------------------------- connected I/O
@@ -950,24 +898,8 @@ struct ClientReactorImpl {
 
   bool drain_replies(const std::shared_ptr<ChannelCore>& core) {
     ChannelCore& c = *core;
-    while (auto frame = c.assembler.next()) {
-      if (c.mux_enabled && c.neg == ChannelCore::Neg::kOn) {
-        if (!deliver_mux_reply(core, std::move(*frame))) return false;
-        continue;
-      }
-      if (c.pending.empty()) {
-        // A reply nobody asked for: the stream is not speaking our
-        // protocol; nothing pending means nothing to fail beyond the
-        // connection itself.
-        fail_all(core, make_error(ErrorCode::kInternal,
-                                  "client recv: unsolicited reply"));
-        return false;
-      }
-      PendingExchange ex = std::move(c.pending.front());
-      c.pending.pop_front();
-      disarm_deadline(c, ex);
-      deliver_ok(c, ex, std::move(*frame));
-    }
+    while (auto frame = c.assembler.next())
+      if (!deliver_reply(core, std::move(*frame))) return false;
     maybe_reap(core);
     // The reap (released facade, queue drained) closes the socket; tell
     // read_some to stop. A released channel still awaiting replies keeps
@@ -980,8 +912,8 @@ struct ClientReactorImpl {
     // On a negotiated mux connection a truncated frame cannot be
     // attributed to a stream before its id arrives; every outstanding
     // exchange surfaces as a lost response below.
-    const bool mux_on = c.mux_enabled && c.neg == ChannelCore::Neg::kOn;
-    if (!mux_on && c.assembler.mid_frame() && !c.pending.empty()) {
+    if (c.neg != ChannelCore::Neg::kOn && c.assembler.mid_frame() &&
+        !c.pending.empty()) {
       // The head reply was truncated mid-frame; everything behind it is a
       // lost response.
       PendingExchange head = std::move(c.pending.front());
@@ -997,7 +929,7 @@ struct ClientReactorImpl {
   void pump(const std::shared_ptr<ChannelCore>& core) {
     ChannelCore& c = *core;
     for (;;) {
-      if (c.mux_enabled) fill_out(c);
+      fill_out(c);
       bool blocked = false;
       while (c.out_off < c.out.size()) {
         const ssize_t n = ::send(c.fd, c.out.data() + c.out_off,
@@ -1020,10 +952,9 @@ struct ClientReactorImpl {
         c.out.clear();
         c.out_off = 0;
       }
-      // Mux: a fully-drained buffer with a non-empty ring means the
-      // watermark was the only thing holding frames back — fill again.
-      if (blocked || !c.mux_enabled || c.write_ring.empty() ||
-          c.out_off < c.out.size())
+      // A fully-drained buffer with a non-empty ring means the watermark
+      // was the only thing holding stream frames back — fill again.
+      if (blocked || c.write_ring.empty() || c.out_off < c.out.size())
         break;
     }
     update_interest(core);
@@ -1044,6 +975,55 @@ struct ClientReactorImpl {
   }
 };
 
+/// The one way an exchange enters a core, from any thread. A frame the
+/// wire cap cannot carry is refused here with kOversized, before a byte
+/// is sent: a stream frame grows by its 4-byte stream id when wrapped,
+/// and an over-cap declared length would make the server close the
+/// socket under every sibling stream (no legal envelope is affected: the
+/// largest is kMaxTcpFrameBytes - 4). Otherwise the frame is posted to
+/// the loop thread; the carrier fires the completion exactly once even
+/// if the reactor refuses the post.
+void post_exchange(const std::shared_ptr<ChannelCore>& core,
+                   std::uint32_t stream, std::vector<std::uint8_t> frame,
+                   AsyncCompletionFn done) {
+  const std::size_t wrap =
+      stream == 0 ? 0 : kMuxEnvelopeHeaderBytes - kEnvelopeHeaderBytes;
+  if (frame.size() > kMaxTcpFrameBytes - wrap) {
+    if (done)
+      done(AsyncResult{.reply = {},
+                       .error = make_error(ErrorCode::kOversized,
+                                           "client send: frame above cap")});
+    return;
+  }
+  auto carrier = std::make_shared<DoneCarrier>(std::move(done));
+  ClientReactorImpl* impl = core->impl;
+  (void)core->shard->reactor.post(
+      [impl, core, f = std::move(frame), carrier, stream]() mutable {
+        impl->submit(core, std::move(f), carrier->take(), stream);
+      });
+}
+
+/// The last facade reference is gone: mark the core released on its loop
+/// thread; it is reaped (socket closed, shard-map entry erased) as soon as
+/// the last in-flight completion has fired. A refused post means the
+/// reactor stopped — its stop() sweep owns the cleanup.
+void release(const std::shared_ptr<ChannelCore>& core) {
+  ClientReactorImpl* impl = core->impl;
+  (void)core->shard->reactor.post([impl, core] {
+    core->released = true;
+    impl->maybe_reap(core);
+  });
+}
+
+TransportStats stats_of(const ChannelCore& core) {
+  TransportStats s;
+  s.messages_sent = core.msgs_sent.load(std::memory_order_relaxed);
+  s.messages_received = core.msgs_received.load(std::memory_order_relaxed);
+  s.bytes_sent = core.bytes_sent.load(std::memory_order_relaxed);
+  s.bytes_received = core.bytes_received.load(std::memory_order_relaxed);
+  return s;
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------- ClientChannel
@@ -1053,23 +1033,7 @@ ClientChannel::ClientChannel(std::shared_ptr<detail::ChannelCore> core)
 
 void ClientChannel::exchange_async(std::vector<std::uint8_t> frame,
                                    AsyncCompletionFn done) {
-  if (frame.size() > kMaxTcpFrameBytes) {
-    if (done)
-      done(AsyncResult{
-          .reply = {},
-          .error = std::make_exception_ptr(
-              ProtoError(ErrorCode::kOversized,
-                         "client send: frame above cap"))});
-    return;
-  }
-  auto carrier = std::make_shared<detail::DoneCarrier>(std::move(done));
-  detail::ClientReactorImpl* impl = core_->impl;
-  (void)core_->shard->reactor.post(
-      [impl, core = core_, f = std::move(frame), carrier]() mutable {
-        impl->submit(core, std::move(f), carrier->take());
-      });
-  // A refused post destroys the closure immediately; either way the
-  // carrier guarantees the completion fires exactly once.
+  detail::post_exchange(core_, 0, std::move(frame), std::move(done));
 }
 
 void ClientChannel::close() {
@@ -1080,25 +1044,10 @@ void ClientChannel::close() {
   });
 }
 
-ClientChannel::~ClientChannel() {
-  // Mark the core released on its loop thread; it is reaped (socket
-  // closed, shard-map entry erased) as soon as the last in-flight
-  // completion has fired. A refused post means the reactor stopped — its
-  // stop() sweep owns the cleanup.
-  detail::ClientReactorImpl* impl = core_->impl;
-  (void)core_->shard->reactor.post([impl, core = core_] {
-    core->released = true;
-    impl->maybe_reap(core);
-  });
-}
+ClientChannel::~ClientChannel() { detail::release(core_); }
 
 TransportStats ClientChannel::stats() const {
-  TransportStats s;
-  s.messages_sent = core_->msgs_sent.load(std::memory_order_relaxed);
-  s.messages_received = core_->msgs_received.load(std::memory_order_relaxed);
-  s.bytes_sent = core_->bytes_sent.load(std::memory_order_relaxed);
-  s.bytes_received = core_->bytes_received.load(std::memory_order_relaxed);
-  return s;
+  return detail::stats_of(*core_);
 }
 
 // ------------------------------------------------- MuxChannel / MuxStream
@@ -1106,15 +1055,8 @@ TransportStats ClientChannel::stats() const {
 MuxChannel::MuxChannel(std::shared_ptr<detail::ChannelCore> core)
     : core_(std::move(core)) {}
 
-MuxChannel::~MuxChannel() {
-  // Same release protocol as ClientChannel: streams hold the channel, so
-  // this runs only once every facade is gone.
-  detail::ClientReactorImpl* impl = core_->impl;
-  (void)core_->shard->reactor.post([impl, core = core_] {
-    core->released = true;
-    impl->maybe_reap(core);
-  });
-}
+// Streams hold the channel, so this runs only once every facade is gone.
+MuxChannel::~MuxChannel() { detail::release(core_); }
 
 std::shared_ptr<MuxStream> MuxChannel::open_stream() {
   return open_stream(next_id_.fetch_add(1, std::memory_order_relaxed));
@@ -1126,17 +1068,11 @@ std::shared_ptr<MuxStream> MuxChannel::open_stream(std::uint32_t id) {
 }
 
 bool MuxChannel::mux_negotiated() const noexcept {
-  return core_->neg_observed.load(std::memory_order_relaxed) == 2;
+  return core_->neg_observed.load(std::memory_order_relaxed) ==
+         static_cast<int>(detail::ChannelCore::Neg::kOn);
 }
 
-TransportStats MuxChannel::stats() const {
-  TransportStats s;
-  s.messages_sent = core_->msgs_sent.load(std::memory_order_relaxed);
-  s.messages_received = core_->msgs_received.load(std::memory_order_relaxed);
-  s.bytes_sent = core_->bytes_sent.load(std::memory_order_relaxed);
-  s.bytes_received = core_->bytes_received.load(std::memory_order_relaxed);
-  return s;
-}
+TransportStats MuxChannel::stats() const { return detail::stats_of(*core_); }
 
 std::uint64_t MuxChannel::unavailable_retries() const noexcept {
   return core_->unavailable_retries.load(std::memory_order_relaxed);
@@ -1151,24 +1087,8 @@ MuxStream::MuxStream(std::shared_ptr<MuxChannel> channel, std::uint32_t id)
 
 void MuxStream::exchange_async(std::vector<std::uint8_t> frame,
                                AsyncCompletionFn done) {
-  // A legal version-1 frame is at most kMaxTcpFrameBytes - 4, so the
-  // wrapped form always fits the wire cap; this check mirrors
-  // ClientChannel's for the degraded (un-negotiated) path.
-  if (frame.size() > kMaxTcpFrameBytes) {
-    if (done)
-      done(AsyncResult{.reply = {},
-                       .error = std::make_exception_ptr(
-                           ProtoError(ErrorCode::kOversized,
-                                      "client send: frame above cap"))});
-    return;
-  }
-  const std::shared_ptr<detail::ChannelCore>& core = channel_->core_;
-  auto carrier = std::make_shared<detail::DoneCarrier>(std::move(done));
-  detail::ClientReactorImpl* impl = core->impl;
-  (void)core->shard->reactor.post(
-      [impl, core, f = std::move(frame), carrier, id = id_]() mutable {
-        impl->submit(core, std::move(f), carrier->take(), id);
-      });
+  detail::post_exchange(channel_->core_, id_, std::move(frame),
+                        std::move(done));
 }
 
 // ---------------------------------------------------------- ClientReactor

@@ -1,13 +1,14 @@
 // The client half of the TCP binding: one process driving thousands of
 // simultaneous outbound connections on a fixed thread budget, and the one
 // client I/O path every caller uses. N reactor shards (event-loop
-// threads) multiplex any number of ClientChannels, each channel a
-// non-blocking outbound connection with
+// threads) multiplex any number of channels, each channel a non-blocking
+// outbound connection with
 //   * non-blocking connect with retry + deterministic jittered backoff
 //     (proto/backoff.hpp — a swarm must not reconnect in lockstep waves);
 //   * pipelined exchanges: any number in flight on one connection,
-//     replies correlated to requests in submission order (the framing is
-//     strictly request-ordered on both ends, so FIFO correlation is exact);
+//     replies correlated to requests in submission order per stream (the
+//     framing is strictly request-ordered per stream on both ends, so
+//     FIFO correlation is exact);
 //   * a per-exchange deadline on the shard's timing wheel — a dead or
 //     stalled peer fails the exchange instead of pinning it forever;
 //   * the AsyncTransport API: exchange_async(frame, done) from any thread,
@@ -26,17 +27,21 @@
 // (including inside a completion); completions run on the channel's loop
 // thread and must not block — in particular, never drive a
 // SyncTransportAdapter from inside a completion.
-// Multiplexing (PR 9): ClientReactor::open_mux() negotiates the stream
-// capability with a Hello handshake and returns a MuxChannel — one TCP
-// connection fanning out any number of MuxStreams, each an independent
-// AsyncTransport with its own FIFO reply correlation. Outbound frames are
-// scheduled round-robin across streams (one frame per stream per turn) so
-// no single busy stream starves its siblings' writes. Against a server
-// that does not speak Hello, the channel degrades to the legacy strictly
-// one-lane FIFO — correct, just not concurrent. A reply of
-// Error(kUnavailable) carrying a retry-after hint (the server shed the
-// frame before applying it) is transparently resubmitted after the hinted
-// delay, up to MuxOptions::max_unavailable_retries.
+//
+// Streams: every channel runs the same connection state machine. A
+// ClientChannel is stream 0 of a connection that negotiates nothing — no
+// Hello, plain version-1 frames, one FIFO. ClientReactor::open_mux()
+// returns a MuxChannel, whose connection opens with a Hello handshake
+// (submissions made before the answer are staged in order) and fans out
+// any number of MuxStreams, each an independent AsyncTransport with its
+// own FIFO reply correlation. Outbound stream frames are scheduled
+// round-robin (one frame per stream per turn) so no single busy stream
+// starves its siblings' writes. Against a server that does not speak
+// Hello, every stream shares stream 0's FIFO — correct, just not
+// concurrent. A reply of Error(kUnavailable) carrying a retry-after hint
+// (the server shed the frame before applying it) is transparently
+// resubmitted after the hinted delay, up to
+// MuxOptions::max_unavailable_retries.
 #pragma once
 
 #include <atomic>
@@ -145,8 +150,10 @@ class MuxChannel;
 /// One logical channel on a MuxChannel: a full AsyncTransport (same
 /// contract as ClientChannel — pipelined exchanges, FIFO correlation per
 /// stream, per-exchange deadline), except that hundreds of them share one
-/// socket. Keeps its MuxChannel alive; destroying every stream and the
-/// channel reaps the connection once in-flight completions have fired.
+/// socket. A frame that would exceed kMaxTcpFrameBytes once its 4-byte
+/// stream id is added fails with kOversized before a byte is sent. Keeps
+/// its MuxChannel alive; destroying every stream and the channel reaps
+/// the connection once in-flight completions have fired.
 class MuxStream final : public AsyncTransport {
  public:
   ~MuxStream() override = default;
@@ -167,9 +174,9 @@ class MuxStream final : public AsyncTransport {
 /// One mux-negotiated connection fanning out logical streams. Obtained
 /// from ClientReactor::open_mux(); the Hello handshake runs on the first
 /// exchange (submissions before the answer are staged in order). If the
-/// peer does not speak the capability, every stream degrades to the
-/// legacy shared FIFO — still correct against a strictly request-ordered
-/// server, just serialized.
+/// peer does not speak the capability, every stream shares stream 0's
+/// FIFO — still correct against a strictly request-ordered server, just
+/// serialized.
 class MuxChannel : public std::enable_shared_from_this<MuxChannel> {
  public:
   ~MuxChannel();

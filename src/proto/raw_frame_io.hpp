@@ -6,7 +6,7 @@
 // code that must speak the framing below it: hand-rolled peers in tests
 // (a pre-Hello server, a deliberately misbehaving one), hostile-byte
 // injectors in the scenario harness, the stats endpoint, and the
-// reactor's own client-side prefix. Kept header-only and
+// prefix both reactors write. Kept header-only and
 // allocation-minimal; errors surface as false/empty (the callers are load
 // drivers and tests, each with its own failure styles).
 //
@@ -28,6 +28,20 @@
 #include <vector>
 
 namespace eyw::proto::raw {
+
+/// Append `4-byte LE length | frame` to `out` in place, so a writer
+/// reuses its grown capacity frame after frame instead of materializing a
+/// fresh prefixed vector per message.
+inline void append_framed(std::vector<std::uint8_t>& out,
+                          std::span<const std::uint8_t> frame) {
+  const auto len = static_cast<std::uint32_t>(frame.size());
+  const std::uint8_t prefix[4] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16),
+      static_cast<std::uint8_t>(len >> 24)};
+  out.insert(out.end(), prefix, prefix + 4);
+  out.insert(out.end(), frame.begin(), frame.end());
+}
 
 /// 4-byte LE length prefix + frame, one contiguous buffer.
 inline std::vector<std::uint8_t> with_prefix(

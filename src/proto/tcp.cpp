@@ -20,6 +20,7 @@
 
 #include "proto/buffer_pool.hpp"
 #include "proto/frame_assembler.hpp"
+#include "proto/raw_frame_io.hpp"
 #include "proto/reactor.hpp"
 
 namespace eyw::proto {
@@ -64,21 +65,6 @@ bool poll_wait(int fd, short events, Millis timeout) {
   }
 }
 
-/// One contiguous buffer per message so request and reply each leave in a
-/// single segment (see set_nodelay).
-std::vector<std::uint8_t> frame_with_prefix(
-    std::span<const std::uint8_t> frame) {
-  std::vector<std::uint8_t> out(4 + frame.size());
-  const auto len = static_cast<std::uint32_t>(frame.size());
-  out[0] = static_cast<std::uint8_t>(len);
-  out[1] = static_cast<std::uint8_t>(len >> 8);
-  out[2] = static_cast<std::uint8_t>(len >> 16);
-  out[3] = static_cast<std::uint8_t>(len >> 24);
-  if (!frame.empty())
-    std::memcpy(out.data() + 4, frame.data(), frame.size());
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- server
@@ -90,15 +76,19 @@ std::vector<std::uint8_t> frame_with_prefix(
 // an async handler completion marshalling its reply back — both via
 // Reactor::post.
 //
-// Connection state machine (all on the loop thread):
+// Connection state machine (all on the loop thread). A connection is a
+// set of streams, each with one handler in flight and a FIFO behind it;
+// one that never negotiated mux has exactly one, stream 0:
 //
 //        ┌──────── readable ────────┐
 //        v                          │
-//   [reading] --frame complete--> [handler in flight] --completion-->
-//   [flushing reply] --drained--> back to [reading] (or next queued frame)
+//   [reading] --frame complete--> [stream's handler in flight]
+//   --completion--> [reply appended, flushing] --> next queued frame on
+//   that stream, or back to [reading]
 //
-// Backpressure: while a reply is buffered or a handler is in flight the
-// connection's EPOLLIN interest is dropped — a client that floods
+// Backpressure: a mux connection stops reading once its unflushed replies
+// pass a watermark; a version-1 connection stops while stream 0 has a
+// handler in flight or a reply unflushed — a client that floods
 // pipelined requests fills its kernel socket buffer and blocks, it cannot
 // grow server-side queues. The per-frame io_timeout deadline (reactor
 // wheel) bounds frame completion and reply drain; idle-between-frames is
@@ -118,7 +108,7 @@ struct FrameServer::Impl {
     int release() noexcept { return std::exchange(fd, -1); }
   };
 
-  /// One logical channel on a mux connection. `handler_pending` is the
+  /// One logical channel of a connection. `handler_pending` is the
   /// per-stream in-flight gate (exactly one handler per stream, FIFO);
   /// `queue` holds work that arrived behind it — either a full frame or a
   /// shed marker whose payload was already dropped but whose refusal must
@@ -142,7 +132,6 @@ struct FrameServer::Impl {
     FrameAssembler assembler;
     std::vector<std::uint8_t> out;  // framed reply/replies being written
     std::size_t out_off = 0;
-    bool handler_pending = false;
     bool eof = false;
     bool close_after_flush = false;
     bool deadline_armed = false;
@@ -150,15 +139,15 @@ struct FrameServer::Impl {
     std::uint64_t deadline_frame = 0;  // frames_completed() when armed
     bool deadline_for_write = false;   // reply-drain vs frame-completion
     std::uint32_t interest = 0;
-    // --- mux mode (after a Hello negotiated kCapMux) ---
-    bool mux = false;
-    std::size_t mux_inflight = 0;  // handlers in flight across streams
+    bool mux = false;          // a Hello negotiated kCapMux
+    std::size_t inflight = 0;  // handlers in flight across streams
     std::unordered_map<std::uint32_t, StreamState> streams;
   };
 
   /// Buffered-reply watermark for mux connections: reads pause once this
   /// many unflushed reply bytes are queued, resuming as the writer
-  /// drains. Legacy connections keep the stricter one-reply gate.
+  /// drains. Version-1 connections keep the stricter one-reply gate
+  /// (lane_held).
   static constexpr std::size_t kMuxWriteWatermark = 256 * 1024;
 
   struct Shard {
@@ -307,7 +296,7 @@ struct FrameServer::Impl {
         // single write — the socket is fresh, so the frame fits the empty
         // send buffer.
         refused.fetch_add(1, std::memory_order_relaxed);
-        const auto frame = frame_with_prefix(
+        const auto frame = raw::with_prefix(
             ErrorReply{.code = ErrorCode::kUnavailable,
                        .detail = "server at connection capacity"}
                 .encode());
@@ -334,15 +323,23 @@ struct FrameServer::Impl {
 
   // ------------------------------------- connection machine (loop thread)
 
+  /// Version-1 rule: stream 0 of a connection that never negotiated mux
+  /// holds the connection while its handler runs or its reply drains — no
+  /// read, no next frame — so a pipelined frame waits in the socket, never
+  /// in a stream queue (max_stream_backlog never applies to it).
+  [[nodiscard]] static bool lane_held(const Conn& c) noexcept {
+    return !c.mux && (c.inflight > 0 || c.out_off < c.out.size());
+  }
+
   [[nodiscard]] static bool want_read(const Conn& c) noexcept {
-    if (c.eof || c.close_after_flush || c.assembler.oversized())
+    if (c.eof || c.close_after_flush || c.assembler.oversized() ||
+        lane_held(c))
       return false;
     // A mux connection keeps reading while handlers are in flight — that
     // is the point of the streams — gated only on the reply backlog, so a
     // peer that stops reading still cannot grow server-side buffers
     // unboundedly.
-    if (c.mux) return c.out.size() - c.out_off < kMuxWriteWatermark;
-    return !c.handler_pending && c.out_off >= c.out.size();
+    return c.out.size() - c.out_off < kMuxWriteWatermark;
   }
 
   void adopt(Shard& s, int fd) {
@@ -432,41 +429,20 @@ struct FrameServer::Impl {
     return true;
   }
 
-  /// Append `4-byte LE length | reply` to the connection's write buffer —
-  /// in place, so the writer reuses its grown capacity frame after frame
-  /// instead of materializing a fresh prefixed vector per reply.
-  static void append_framed(std::vector<std::uint8_t>& out,
-                            std::span<const std::uint8_t> reply) {
-    const auto len = static_cast<std::uint32_t>(reply.size());
-    const std::uint8_t prefix[4] = {
-        static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
-        static_cast<std::uint8_t>(len >> 16),
-        static_cast<std::uint8_t>(len >> 24)};
-    out.insert(out.end(), prefix, prefix + 4);
-    out.insert(out.end(), reply.begin(), reply.end());
-  }
-
-  void enqueue_reply(Shard& s, Conn& c, std::span<const std::uint8_t> reply) {
+  /// Append one reply to the connection's writer (several streams'
+  /// replies interleave on one socket). Version-1 rule: an empty reply
+  /// leaves as a zero-length frame, the wire form of "no reply". On a mux
+  /// connection a zero-length frame cannot be attributed to a stream, so
+  /// it is sent as nothing at all and a dropped response surfaces as the
+  /// client's exchange deadline, same as a lost loopback reply.
+  void append_reply(Shard& s, Conn& c, std::span<const std::uint8_t> reply) {
+    if (reply.empty() && c.mux) return;
     if (!reply.empty()) {
       s.msgs_out.fetch_add(1, std::memory_order_relaxed);
       s.bytes_out.fetch_add(reply.size(), std::memory_order_relaxed);
     }
-    c.out.clear();  // keeps capacity: one steady-state buffer per conn
-    c.out_off = 0;
-    append_framed(c.out, reply);  // empty reply = 4-byte zero prefix
-  }
-
-  /// Mux reply path: APPENDS to the out buffer (several streams' replies
-  /// interleave on one socket) instead of assigning like enqueue_reply.
-  /// An empty reply is sent as nothing at all — a zero-length frame
-  /// cannot be attributed to a stream, so a dropped response surfaces as
-  /// the client's exchange deadline, same as a lost loopback reply.
-  void append_reply(Shard& s, Conn& c, std::span<const std::uint8_t> reply) {
-    if (reply.empty()) return;
-    s.msgs_out.fetch_add(1, std::memory_order_relaxed);
-    s.bytes_out.fetch_add(reply.size(), std::memory_order_relaxed);
     if (c.out_off >= c.out.size()) {
-      c.out.clear();
+      c.out.clear();  // keeps capacity: one steady-state buffer per conn
       c.out_off = 0;
     } else if (c.out_off >= kMuxWriteWatermark / 4) {
       // Reclaim the drained prefix before it dominates the buffer.
@@ -474,11 +450,11 @@ struct FrameServer::Impl {
                   c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off));
       c.out_off = 0;
     }
-    append_framed(c.out, reply);
+    raw::append_framed(c.out, reply);
   }
 
-  /// Wrap a version-1 reply back onto its stream (stream 0 = the legacy
-  /// lane, sent un-wrapped) and append it to the connection's writer.
+  /// Wrap a version-1 reply back onto its stream (stream 0 is sent
+  /// un-wrapped) and append it to the connection's writer.
   /// Takes the reply by value: the stream id is patched in place, which
   /// is free when the encoder reserved mux headroom (every encoder in
   /// this repo does — message.cpp encode_envelope). A foreign buffer
@@ -496,7 +472,7 @@ struct FrameServer::Impl {
     append_reply(s, c, reply);
   }
 
-  // -------------------------------------------- mux mode (loop thread)
+  // ------------------------------------------- streams (loop thread)
 
   /// Conn-layer capability handshake. Answered here — never dispatched —
   /// so negotiation works identically whatever endpoint sits behind the
@@ -523,20 +499,22 @@ struct FrameServer::Impl {
                          Hello{.capabilities = caps}.encode(0));
   }
 
-  /// Route one complete frame on a mux connection: strip the stream id —
-  /// an in-place header patch on the pooled buffer, not a copy — then
-  /// either dispatch it (stream idle), queue it behind the stream's
-  /// in-flight handler, or shed it (stream id above the cap, or backlog
-  /// full). Everything downstream of this point sees version-1 bytes.
-  /// Frames that die here (hello, sheds, errors) go back to the pool;
-  /// dispatched frames come back through the consumer's recycler.
-  void on_mux_frame(Shard& s, Conn& c, std::vector<std::uint8_t> frame) {
+  /// Route one complete frame: on a mux connection strip the stream id —
+  /// an in-place header patch on the pooled buffer, not a copy (version-1
+  /// rule: a connection that never negotiated mux strips nothing, every
+  /// frame is stream 0) — then either dispatch it (stream idle), queue it
+  /// behind the stream's in-flight handler, or shed it (stream id above
+  /// the cap, or backlog full). Everything downstream of this point sees
+  /// version-1 bytes. Frames that die here (hello, sheds, errors) go back
+  /// to the pool; dispatched frames come back through the consumer's
+  /// recycler.
+  void on_frame(Shard& s, Conn& c, std::vector<std::uint8_t> frame) {
     std::uint32_t stream = 0;
     try {
-      stream = strip_stream_inplace(frame);
+      if (c.mux) stream = strip_stream_inplace(frame);
     } catch (const ProtoError& e) {
-      // Unattributable (the stream field itself is broken): answer on the
-      // legacy lane. The length framing is intact, so the socket is still
+      // Unattributable (the stream field itself is broken): answer on
+      // stream 0. The length framing is intact, so the socket is still
       // synchronized. strip_stream_inplace leaves the frame untouched on
       // throw, so the buffer is clean to recycle.
       append_reply(
@@ -580,12 +558,16 @@ struct FrameServer::Impl {
   void dispatch_stream(Shard& s, Conn& c, std::uint32_t stream,
                        StreamState& st, std::vector<std::uint8_t> frame) {
     st.handler_pending = true;
-    ++c.mux_inflight;
+    ++c.inflight;
     const int fd = c.fd;
     const std::uint64_t gen = c.gen;
     const std::size_t shard_idx = s.index;
     CompletionFn done = [weak = self, shard_idx, fd, gen,
                          stream](std::vector<std::uint8_t> reply) {
+      // The weak_ptr keeps Impl alive across the post() call; a stopped
+      // reactor drops the task, so a completion arriving after stop() is
+      // a no-op, and the generation check in finish_stream catches fd
+      // reuse.
       if (const std::shared_ptr<Impl> impl = weak.lock()) {
         Shard* shard = impl->shards[shard_idx].get();
         (void)shard->reactor.post(
@@ -595,6 +577,8 @@ struct FrameServer::Impl {
                 impl_raw->finish_stream(*shard, fd, gen, stream,
                                         std::move(r));
               } catch (...) {
+                // finish_stream throws only past its generation check, so
+                // the fd still names this completion's connection.
                 impl_raw->close_conn(*shard, fd);
               }
             });
@@ -603,8 +587,10 @@ struct FrameServer::Impl {
     try {
       handler(std::move(frame), std::move(done));
     } catch (const std::exception& e) {
+      // The handler threw on the loop thread before taking ownership of
+      // the completion: answer here, same mapping as everywhere else.
       st.handler_pending = false;
-      --c.mux_inflight;
+      --c.inflight;
       append_reply_wrapped(s, c, stream,
                            ErrorReply{.code = ErrorCode::kInternal,
                                       .detail = e.what()}
@@ -632,7 +618,7 @@ struct FrameServer::Impl {
     }
   }
 
-  /// A mux handler completion marshalled back to the loop thread.
+  /// A handler completion marshalled back to the loop thread.
   void finish_stream(Shard& s, int fd, std::uint64_t gen,
                      std::uint32_t stream, std::vector<std::uint8_t> reply) {
     const auto it = s.conns.find(fd);
@@ -642,62 +628,15 @@ struct FrameServer::Impl {
     if (sit == c.streams.end() || !sit->second.handler_pending) return;
     StreamState& st = sit->second;
     st.handler_pending = false;
-    if (c.mux_inflight > 0) --c.mux_inflight;
+    if (c.inflight > 0) --c.inflight;
     append_reply_wrapped(s, c, stream, std::move(reply));
     advance_stream(s, c, stream, st);
     // Reap idle stream state so a long-lived connection cycling through
     // many logical channels stays O(active streams), not O(ever-used).
-    if (!st.handler_pending && st.queue.empty()) c.streams.erase(sit);
-    pump(s, fd);
-  }
-
-  void dispatch(Shard& s, Conn& c, std::vector<std::uint8_t> frame) {
-    c.handler_pending = true;
-    const int fd = c.fd;
-    const std::uint64_t gen = c.gen;
-    const std::size_t shard_idx = s.index;
-    CompletionFn done = [weak = self, shard_idx, fd,
-                         gen](std::vector<std::uint8_t> reply) {
-      // The weak_ptr keeps Impl alive across the post() call; a stopped
-      // reactor drops the task, so a completion arriving after stop() is
-      // a no-op, and the generation check below catches fd reuse.
-      if (const std::shared_ptr<Impl> impl = weak.lock()) {
-        Shard* shard = impl->shards[shard_idx].get();
-        (void)shard->reactor.post(
-            [impl_raw = impl.get(), shard, fd, gen,
-             r = std::move(reply)]() mutable {
-              try {
-                impl_raw->finish(*shard, fd, gen, std::move(r));
-              } catch (...) {
-                // finish() throws only past its generation check, so the
-                // fd still names this completion's connection.
-                impl_raw->close_conn(*shard, fd);
-              }
-            });
-      }
-    };
-    try {
-      handler(std::move(frame), std::move(done));
-    } catch (const std::exception& e) {
-      // The handler threw on the loop thread before taking ownership of
-      // the completion: answer here, same mapping as everywhere else.
-      c.handler_pending = false;
-      enqueue_reply(s, c,
-                    ErrorReply{.code = ErrorCode::kInternal,
-                               .detail = e.what()}
-                        .encode());
-    }
-  }
-
-  /// A handler completion marshalled back to the loop thread.
-  void finish(Shard& s, int fd, std::uint64_t gen,
-              std::vector<std::uint8_t> reply) {
-    const auto it = s.conns.find(fd);
-    if (it == s.conns.end() || it->second->gen != gen) return;
-    Conn& c = *it->second;
-    if (!c.handler_pending) return;
-    c.handler_pending = false;
-    enqueue_reply(s, c, reply);
+    // Stream 0 stays: it is a version-1 connection's only stream, and
+    // reaping it would cost that connection a node allocation per frame.
+    if (stream != 0 && !st.handler_pending && st.queue.empty())
+      c.streams.erase(sit);
     pump(s, fd);
   }
 
@@ -729,37 +668,26 @@ struct FrameServer::Impl {
         close_conn(s, fd);
         return;
       }
-      if (c->handler_pending) break;
+      if (lane_held(*c)) break;
       if (auto frame = c->assembler.next()) {
         s.msgs_in.fetch_add(1, std::memory_order_relaxed);
         s.bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
-        if (c->mux) {
-          on_mux_frame(s, *c, std::move(*frame));
-        } else if (peek_kind(*frame) == MsgKind::kHello) {
-          // Capability handshake, answered at the connection layer; on an
-          // un-negotiated connection every other frame takes the exact
-          // pre-mux path below. Answered frames die here, so their
-          // buffers recycle here too.
-          answer_hello(s, *c, 0, *frame);
-          pool->release(std::move(*frame));
-        } else {
-          dispatch(s, *c, std::move(*frame));
-        }
-        continue;  // either handler pending or a reply to flush
+        on_frame(s, *c, std::move(*frame));
+        continue;
       }
       if (c->assembler.oversized()) {
-        enqueue_reply(s, *c,
-                      ErrorReply{.code = ErrorCode::kOversized,
-                                 .detail = "frame length above cap"}
-                          .encode());
+        append_reply(s, *c,
+                     ErrorReply{.code = ErrorCode::kOversized,
+                                .detail = "frame length above cap"}
+                         .encode());
         c->close_after_flush = true;
         continue;  // flush the refusal, then close
       }
       if (c->eof) {
-        // A mux peer that half-closed may still be reading: let in-flight
+        // A peer that half-closed may still be reading: let in-flight
         // handlers finish and their replies flush first (finish_stream
-        // re-pumps; mux_inflight == 0 implies every stream queue drained).
-        if (c->mux && c->mux_inflight > 0) break;
+        // re-pumps; inflight == 0 implies every stream queue drained).
+        if (c->inflight > 0) break;
         // Clean close at a frame boundary, or truncated mid-frame:
         // nothing left to answer either way.
         close_conn(s, fd);

@@ -118,8 +118,8 @@ struct FrameServerOptions {
   /// assign ids sequentially from 1, so this caps the logical channels
   /// one socket may carry; a frame above the cap is refused on the spot
   /// with Error(kUnavailable) — without a retry hint, because the refusal
-  /// is permanent for this connection (open another). Stream 0 (the
-  /// un-wrapped legacy lane) is always admitted.
+  /// is permanent for this connection (open another). Stream 0
+  /// (un-wrapped version-1 frames) is always admitted.
   std::uint32_t max_streams_per_connection = 65536;
   /// Frames queued behind one stream's in-flight handler before further
   /// frames on that stream are shed. The shed drops the payload
@@ -134,11 +134,10 @@ struct FrameServerOptions {
 
 /// Event-driven frame server: one acceptor thread feeds accepted
 /// connections round-robin to N reactor shards (epoll event loops); each
-/// connection is a non-blocking state machine — incremental frame
-/// assembly (FrameAssembler), at most one in-flight handler, a buffered
-/// writer with backpressure (no new frame is processed until the previous
-/// reply drained). Thousands of idle reporters cost epoll registrations,
-/// not threads.
+/// connection is one non-blocking state machine — incremental frame
+/// assembly (FrameAssembler), a set of streams with at most one in-flight
+/// handler each, a buffered writer with backpressure. Thousands of idle
+/// reporters cost epoll registrations, not threads.
 ///
 /// Handlers come in two shapes:
 ///   * a synchronous FrameHandler runs on the shard's loop thread — fine
@@ -155,15 +154,19 @@ struct FrameServerOptions {
 /// stream is unsynchronized past an unread body). Handler exceptions are
 /// answered with Error(kInternal); endpoints themselves never throw.
 ///
-/// Multiplexing: a client that opens with Hello(kCapMux) and receives it
-/// back switches the connection to mux mode — version-2 envelopes carry a
-/// stream id, each stream is an independent logical channel with its own
-/// one-in-flight FIFO, and handlers for different streams run
-/// concurrently. The reactor strips the stream id before dispatch and
-/// wraps it back onto the reply, so everything downstream of the
-/// connection layer sees the same version-1 bytes a dedicated connection
-/// would deliver. Connections that never negotiate keep the exact PR 8
-/// one-frame-in-flight byte behavior.
+/// Streams: a connection that never negotiates mux carries one stream,
+/// stream 0, under three version-1 rules: while its handler runs or its
+/// reply drains the connection neither reads nor takes its next frame
+/// (pipelined frames are answered strictly in order and wait in the
+/// socket, never in a stream backlog); no stream id is stripped; and an
+/// empty reply leaves as a zero-length frame. A client that opens with
+/// Hello(kCapMux) and receives it back switches the connection to mux
+/// mode — version-2 envelopes carry a stream id, each stream is an
+/// independent logical channel with its own one-in-flight FIFO, and
+/// handlers for different streams run concurrently. The reactor strips
+/// the stream id before dispatch and wraps it back onto the reply, so
+/// everything downstream of the connection layer sees the same version-1
+/// bytes either way.
 class FrameServer {
  public:
   FrameServer(FrameHandler handler, FrameServerOptions options = {});

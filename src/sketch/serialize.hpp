@@ -3,7 +3,7 @@
 // The deployed system ships blinded cell vectors and sketch geometry
 // between extensions and the back-end weekly. This module defines the
 // byte-exact, versioned, endian-stable encoding used for that transport
-// (and for persisting weekly aggregates in the database).
+// (and for the report frames the write-ahead journal persists).
 //
 // Layout (all integers little-endian):
 //   magic   u32  'EYWS'

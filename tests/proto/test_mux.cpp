@@ -5,7 +5,8 @@
 // the end-to-end contract — many logical streams on one socket with
 // per-stream FIFO correlation, sibling-stream independence under a
 // stalled handler, deterministic sheds at the stream-id cap and the
-// per-stream backlog bound, transparent client retry of hinted sheds,
+// per-stream backlog bound, transparent client retry of hinted sheds, an
+// over-cap stream frame refused locally without touching its siblings,
 // graceful degradation against a pre-Hello peer, and a mux swarm
 // finishing a round bit-identical to the same submissions applied
 // in-process and to the same swarm with one connection per reporter.
@@ -623,6 +624,61 @@ TEST(MuxEndToEnd, HintedShedsAreTransparentlyRetried) {
       << "every server shed must be matched by one client retry";
   EXPECT_EQ(reactor.counters().unavailable_retries,
             channel->unavailable_retries());
+}
+
+TEST(MuxEndToEnd, OverCapStreamFrameRefusedLocallyWithoutKillingSiblings) {
+  // A stream frame grows by its 4-byte stream id when wrapped, so one the
+  // size of the wire cap would leave with a declared length the server
+  // refuses by its prefix — answered unattributably and the socket closed
+  // under every sibling stream. The client must refuse it with kOversized
+  // before a byte is sent, while stream A's handler is still in flight.
+  std::mutex held_mu;
+  std::vector<CompletionFn> held;
+  FrameServer server(
+      [&](std::vector<std::uint8_t> frame, CompletionFn done) {
+        (void)decode_envelope(frame);
+        std::lock_guard<std::mutex> lock(held_mu);
+        held.push_back(std::move(done));
+      },
+      {.reactor_shards = 1});
+
+  ClientReactor reactor({.shards = 1});
+  auto channel = reactor.open_mux("127.0.0.1", server.port());
+  auto a = channel->open_stream();
+  auto b = channel->open_stream();
+
+  Caught a_caught;
+  a->exchange_async(encode_oprf_key_query(), a_caught.sink());
+  const auto held_count = [&] {
+    std::lock_guard<std::mutex> lock(held_mu);
+    return held.size();
+  };
+  for (int i = 0; i < 2'000 && held_count() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(held_count(), 1u) << "stream A's frame never reached the handler";
+  const std::uint64_t received = server.stats().messages_received;
+
+  // A version-1 header padded to exactly the wire cap: 4 bytes over once
+  // the stream id is added.
+  std::vector<std::uint8_t> over = encode_oprf_key_query();
+  over.resize(kMaxTcpFrameBytes);
+  Caught b_caught;
+  b->exchange_async(std::move(over), b_caught.sink());
+  const AsyncResult rb = b_caught.wait();
+  ASSERT_FALSE(rb.ok());
+  EXPECT_EQ(code_of([&] { std::rethrow_exception(rb.error); }),
+            ErrorCode::kOversized);
+  EXPECT_EQ(server.stats().messages_received, received)
+      << "the over-cap frame reached the server";
+
+  {
+    std::lock_guard<std::mutex> lock(held_mu);
+    held[0](encode_ack());
+  }
+  const AsyncResult ra = a_caught.wait();
+  ASSERT_TRUE(ra.ok()) << "sibling stream A failed with B's frame";
+  (void)expect_reply(ra.reply, MsgKind::kAck);
+  EXPECT_EQ(reactor.counters().connects_established, 1u);
 }
 
 // ----------------------------------------------------------- old peers

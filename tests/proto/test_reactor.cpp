@@ -3,8 +3,9 @@
 // fixed thread budget (resident threads = shards + acceptor, never
 // O(connections)), slow-loris isolation (a stalled half-frame is dropped
 // at the deadline without slowing anyone else), admission control
-// (Error(kUnavailable) past max_connections), and pipelined requests
-// answered in order.
+// (Error(kUnavailable) past max_connections), pipelined requests
+// answered in order, and a version-1 connection's one handler call in
+// flight.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,10 +15,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "proto/frame_assembler.hpp"
@@ -305,6 +310,78 @@ TEST(Reactor, PipelinedRequestsAnsweredInOrder) {
     ASSERT_FALSE(reply.empty()) << "reply " << i;
     const ErrorReply decoded = ErrorReply::decode(decode_envelope(reply));
     EXPECT_EQ(decoded.detail, std::to_string(i)) << "out-of-order reply";
+  }
+  ::close(fd);
+  wait_idle(server);
+}
+
+TEST(Reactor, Version1ConnectionHoldsOneHandlerCallInFlight) {
+  // A connection that never negotiated mux invokes the handler for its
+  // next frame only once the previous frame's completion fired (a
+  // pipelined RemoteBackend relies on it across dispatch lanes). The
+  // synchronous handler above completes inline and cannot show an
+  // overlap; this one withholds every completion until the test releases
+  // it, and records any call made while one is still outstanding. The
+  // frames behind it wait in the socket, never in a stream queue: a
+  // backlog bound of 1 would shed them if they did.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<std::pair<std::uint64_t, CompletionFn>> held;
+  int calls = 0;
+  bool outstanding = false;
+  bool overlap = false;
+  FrameServer server(
+      [&](std::vector<std::uint8_t> frame, CompletionFn done) {
+        const std::uint64_t round = decode_envelope(frame).round;
+        std::lock_guard<std::mutex> lock(mu);
+        if (outstanding) overlap = true;
+        outstanding = true;
+        ++calls;
+        held.emplace_back(round, std::move(done));
+        cv.notify_all();
+      },
+      {.reactor_shards = 1, .max_stream_backlog = 1});
+
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  constexpr int kPipelined = 8;
+  std::vector<std::uint8_t> batch;
+  for (int i = 0; i < kPipelined; ++i) {
+    const auto framed = with_prefix(encode_envelope(
+        MsgKind::kOprfKeyQuery, 0, static_cast<std::uint64_t>(i), {}));
+    batch.insert(batch.end(), framed.begin(), framed.end());
+  }
+  send_raw(fd, batch);  // all eight frames in one send
+
+  for (int i = 0; i < kPipelined; ++i) {
+    CompletionFn done;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                              [&] { return calls > i; }))
+          << "no handler call for frame " << i;
+    }
+    // Leave a wrongly overlapping server time to call again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ASSERT_EQ(calls, i + 1) << "more than one new call per release";
+      EXPECT_EQ(held.front().first, static_cast<std::uint64_t>(i));
+      done = std::move(held.front().second);
+      held.pop_front();
+      outstanding = false;
+    }
+    done(ErrorReply{.code = ErrorCode::kOk, .detail = std::to_string(i)}
+             .encode());
+    const auto reply = read_framed(fd);
+    ASSERT_FALSE(reply.empty()) << "reply " << i;
+    EXPECT_EQ(ErrorReply::decode(decode_envelope(reply)).detail,
+              std::to_string(i))
+        << "out-of-order reply";
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(overlap) << "handler called with a completion outstanding";
   }
   ::close(fd);
   wait_idle(server);

@@ -6,7 +6,6 @@
 #endif
 
 #include "server/backend.hpp"
-#include "server/database.hpp"
 #include "server/round.hpp"
 
 namespace eyw::server {
@@ -151,36 +150,6 @@ TEST(Backend, RetainedRoundStateIsCellsPlusRoster) {
   EXPECT_LT(after - std::min(after, before), std::size_t{1} << 20)
       << "round state grew from " << before << " to " << after << " bytes";
 #endif
-}
-
-TEST(Database, UserRegistry) {
-  Database db;
-  EXPECT_FALSE(db.is_registered(4));
-  db.register_user(4, "alice");
-  EXPECT_TRUE(db.is_registered(4));
-  EXPECT_EQ(db.active_users(), 1u);
-}
-
-TEST(Database, WeekSnapshots) {
-  Database db;
-  db.store_week({.week = 2,
-                 .users_threshold = 2.25,
-                 .users_histogram = {{1, 10}, {2, 5}},
-                 .reports = 90,
-                 .roster = 100});
-  ASSERT_TRUE(db.week(2).has_value());
-  EXPECT_DOUBLE_EQ(db.week(2)->users_threshold, 2.25);
-  EXPECT_FALSE(db.week(1).has_value());
-  EXPECT_EQ(db.weeks(), std::vector<std::uint64_t>{2});
-}
-
-TEST(Database, CrawlerSightings) {
-  Database db;
-  db.store_crawler_sighting(3, 101);
-  db.store_crawler_sighting(4, 101);
-  EXPECT_TRUE(db.crawler_saw(101));
-  EXPECT_FALSE(db.crawler_saw(102));
-  EXPECT_EQ(db.crawler_ads().size(), 1u);
 }
 
 // End-to-end coordinator round over real crypto, small parameters.

@@ -8,7 +8,11 @@ that the cross-references in REQUIRED_LINKS are present. It also checks
 that every `--flag` on a `./build/quickstart` command line inside a
 fenced code block of README.md or docs/ appears in quickstart's usage
 string (examples/quickstart.cpp), so a deleted flag cannot linger in a
-documented command. Run from anywhere:
+documented command, and that every backticked `tests/....cpp` path in
+README.md and docs/ exists; where a backticked name opens the
+parenthetical after such a path (`Case`, `Suite.Case` or `Suite.*`), it
+must name a TEST in that file, so renaming or dropping a cited test fails
+until the citation is updated. Run from anywhere:
 
     python3 tools/check_docs.py
 
@@ -54,6 +58,10 @@ FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 STRING_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 # Where one shell command ends: a trailing comment or a control operator.
 COMMAND_END_RE = re.compile(r"\s(?:#|&&|\|\||[|;&])(?:\s|$)")
+# A cited test file, and the backticked name opening its parenthetical.
+TEST_CITE_RE = re.compile(r"`(tests/[^`\s]+\.cpp)`(?:\s*\(`([^`]+)`)?")
+TEST_DEF_RE = re.compile(r"^\s*TEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)",
+                         re.MULTILINE)
 
 
 def github_slug(heading: str) -> str:
@@ -175,8 +183,51 @@ def check_quickstart_flags():
     return errors
 
 
+def tests_defined(path: str) -> set:
+    """(suite, case) of every TEST/TEST_F/TEST_P in a test source."""
+    with open(path, encoding="utf-8") as fh:
+        return set(TEST_DEF_RE.findall(fh.read()))
+
+
+def cites(name: str, tests: set) -> bool:
+    """Whether a cited `Case`, `Suite.Case` or `Suite.*` names a test."""
+    suite, dot, case = name.rpartition(".")
+    if not dot:
+        return any(c == name for _, c in tests)
+    return any(s == suite and case in ("*", c) for s, c in tests)
+
+
+def check_test_citations():
+    errors = []
+    for doc in QUICKSTART_DOCS:
+        rel_doc = os.path.relpath(doc, REPO)
+        with open(doc, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        # Prose only, joined so a citation may wrap across lines.
+        in_fence = False
+        prose = []
+        for line in lines:
+            if CODE_FENCE_RE.match(line):
+                in_fence = not in_fence
+            prose.append("\n" if in_fence or CODE_FENCE_RE.match(line)
+                         else line)
+        text = "".join(prose)
+        for m in TEST_CITE_RE.finditer(text):
+            lineno = text.count("\n", 0, m.start()) + 1
+            path, name = m.group(1), m.group(2)
+            resolved = os.path.join(REPO, path)
+            if not os.path.isfile(resolved):
+                errors.append(f"{rel_doc}:{lineno}: cited {path} does not "
+                              f"exist")
+                continue
+            if name and not cites(name, tests_defined(resolved)):
+                errors.append(f"{rel_doc}:{lineno}: {name} is not a TEST "
+                              f"in {path}")
+    return errors
+
+
 def main():
-    errors = check() + check_quickstart_flags()
+    errors = check() + check_quickstart_flags() + check_test_citations()
     for err in errors:
         print(err)
     checked = len(DOC_GLOBS)
