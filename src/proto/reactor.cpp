@@ -19,6 +19,9 @@ namespace {
                    std::string(what) + ": " + std::strerror(errno));
 }
 
+/// The reactor whose loop runs on this thread (null elsewhere).
+thread_local const Reactor* t_loop_reactor = nullptr;
+
 }  // namespace
 
 Reactor::Reactor() {
@@ -49,6 +52,7 @@ void Reactor::start() {
   wheel_epoch_ = std::chrono::steady_clock::now();
   thread_ = std::thread([this] {
     pthread_setname_np(pthread_self(), "eyw-reactor");
+    t_loop_reactor = this;
     loop();
   });
 }
@@ -79,7 +83,7 @@ void Reactor::add_fd(int fd, std::uint32_t events, EventFn fn) {
   ev.data.fd = fd;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0)
     throw_io("epoll_ctl(add)");
-  handlers_[fd] = std::move(fn);
+  handlers_[fd] = std::make_shared<EventFn>(std::move(fn));
 }
 
 void Reactor::modify_fd(int fd, std::uint32_t events) {
@@ -104,6 +108,10 @@ bool Reactor::post(Task task) {
   const std::uint64_t one = 1;
   (void)!::write(event_fd_, &one, sizeof(one));
   return true;
+}
+
+bool Reactor::on_loop_thread() const noexcept {
+  return t_loop_reactor == this;
 }
 
 Reactor::TimerId Reactor::add_deadline(std::chrono::milliseconds delay,
@@ -181,12 +189,11 @@ void Reactor::advance_wheel() {
 }
 
 void Reactor::run_posted() {
-  std::vector<Task> tasks;
   {
     std::lock_guard<std::mutex> lock(task_mu_);
-    tasks.swap(tasks_);
+    running_.swap(tasks_);
   }
-  for (Task& task : tasks) {
+  for (Task& task : running_) {
     try {
       task();
     } catch (...) {
@@ -194,6 +201,7 @@ void Reactor::run_posted() {
       // loop.
     }
   }
+  running_.clear();  // keeps capacity: the next swap hands it to post()
 }
 
 void Reactor::loop() {
@@ -211,11 +219,11 @@ void Reactor::loop() {
       }
       const auto it = handlers_.find(fd);
       if (it == handlers_.end()) continue;  // removed earlier in this batch
-      // Copy: the callback may remove_fd(fd), destroying the stored fn
-      // while it executes.
-      const EventFn fn = it->second;
+      // Hold a reference: the callback may remove_fd(fd), dropping the
+      // stored handler while it executes.
+      const std::shared_ptr<EventFn> fn = it->second;
       try {
-        fn(events[i].events);
+        (*fn)(events[i].events);
       } catch (...) {
         // A throwing callback (e.g. bad_alloc on a cap-sized frame
         // buffer) must never take down the loop serving every other

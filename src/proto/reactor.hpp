@@ -8,22 +8,29 @@
 //     receiving the epoll event mask (level-triggered);
 //   * cross-thread tasks — post() enqueues a closure and wakes the loop
 //     through an eventfd (how the acceptor hands over fresh connections
-//     and how async handler completions marshal replies back);
+//     and how async handler completions from other threads marshal
+//     replies back);
 //   * deadlines — a hashed timing wheel (kWheelSlots × kTickMs) for the
 //     per-exchange timeouts: arming and cancelling are O(1), which
 //     matters when every in-flight frame on every connection carries one.
 //
 // Threading contract: add_fd/modify_fd/remove_fd and the deadline calls
-// are loop-thread-only (callbacks and posted tasks run there); post() and
-// stop() are safe from any thread. post() after stop() drops the task and
-// returns false — late completions for a torn-down server are no-ops, not
-// use-after-frees.
+// are loop-thread-only (callbacks and posted tasks run there); post(),
+// stop() and on_loop_thread() are safe from any thread. post() after
+// stop() drops the task and returns false — late completions for a
+// torn-down server are no-ops, not use-after-frees.
+//
+// Steady state allocates nothing on either side: an fd event calls its
+// handler through a shared_ptr copy (not a std::function copy, which
+// heap-allocates for any capture above 16 bytes), and the drained task
+// batch keeps its capacity for the next post() (tests/alloc).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -65,6 +72,10 @@ class Reactor {
   /// the loop if idle. Returns false (dropping the task) once stopped.
   bool post(Task task);
 
+  /// True when the caller is this reactor's loop thread — i.e. inside one
+  /// of its fd callbacks, posted tasks or deadlines.
+  [[nodiscard]] bool on_loop_thread() const noexcept;
+
   /// Arm a deadline ~`delay` from now (rounded up to wheel granularity).
   /// Loop-thread-only, like cancel_deadline.
   TimerId add_deadline(std::chrono::milliseconds delay, Task fn);
@@ -100,11 +111,15 @@ class Reactor {
   std::mutex task_mu_;  // guards tasks_ and stopped_
   std::vector<Task> tasks_;
   bool stopped_ = false;
+  /// The batch run_posted() is draining (loop thread only). Swapped with
+  /// tasks_ and cleared, never freed, so both vectors keep their capacity.
+  std::vector<Task> running_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> wakeups_{0};
 
-  // Loop-thread-only state.
-  std::unordered_map<int, EventFn> handlers_;
+  // Loop-thread-only state. Handlers are shared so the loop can hold the
+  // one it is calling while that callback remove_fd()s itself.
+  std::unordered_map<int, std::shared_ptr<EventFn>> handlers_;
   std::vector<TimerEntry> wheel_[kWheelSlots];
   std::unordered_set<TimerId> cancelled_;
   /// Fire ticks of every entry still in the wheel (including

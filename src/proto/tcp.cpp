@@ -73,8 +73,11 @@ bool poll_wait(int fd, short events, Millis timeout) {
 // exactly one shard and all of its state transitions run on that shard's
 // loop thread, so the per-connection state machine needs no locks; the
 // only cross-thread traffic is the acceptor handing over a fresh fd and
-// an async handler completion marshalling its reply back — both via
-// Reactor::post.
+// an async handler completion from another thread marshalling its reply
+// back — both via Reactor::post. A completion that fires on the loop
+// thread while dispatch_stream is still handing its frame over (a
+// synchronous handler, a dispatcher shed, a submission the dispatcher ran
+// inline) hands the reply straight back instead: no post, no eventfd.
 //
 // Connection state machine (all on the loop thread). A connection is a
 // set of streams, each with one handler in flight and a FIFO behind it;
@@ -83,8 +86,8 @@ bool poll_wait(int fd, short events, Millis timeout) {
 //        ┌──────── readable ────────┐
 //        v                          │
 //   [reading] --frame complete--> [stream's handler in flight]
-//   --completion--> [reply appended, flushing] --> next queued frame on
-//   that stream, or back to [reading]
+//   --completion (inline, or posted)--> [reply appended, flushing] -->
+//   next queued frame on that stream, or back to [reading]
 //
 // Backpressure: a mux connection stops reading once its unflushed replies
 // pass a watermark; a version-1 connection stops while stream 0 has a
@@ -150,9 +153,20 @@ struct FrameServer::Impl {
   /// (lane_held).
   static constexpr std::size_t kMuxWriteWatermark = 256 * 1024;
 
+  /// The frame dispatch_stream is handing to the handler right now. A
+  /// completion that fires inside that call leaves its reply here.
+  struct Handing {
+    int fd = -1;
+    std::uint64_t gen = 0;
+    std::uint32_t stream = 0;
+    bool done = false;
+    std::vector<std::uint8_t> reply = {};
+  };
+
   struct Shard {
     Reactor reactor;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;  // loop thread
+    Handing* handing = nullptr;                             // loop thread
     std::uint64_t next_gen = 1;
     std::size_t index = 0;
     std::atomic<std::uint64_t> msgs_in{0};
@@ -539,7 +553,8 @@ struct FrameServer::Impl {
       pool->release(std::move(frame));
       return;
     }
-    StreamState& st = c.streams[stream];
+    const auto sit = c.streams.try_emplace(stream).first;
+    StreamState& st = sit->second;
     if (st.handler_pending || !st.queue.empty()) {
       if (st.queue.size() >= options.max_stream_backlog) {
         // Shed now (the payload is the load), refuse in order (a marker).
@@ -553,8 +568,14 @@ struct FrameServer::Impl {
       return;
     }
     dispatch_stream(s, c, stream, st, std::move(frame));
+    // Answered inline: reap the idle stream as finish_stream does.
+    if (stream != 0 && !st.handler_pending && st.queue.empty())
+      c.streams.erase(sit);
   }
 
+  /// Hand one frame to the handler. A completion fired inside the call on
+  /// this loop thread is answered here, before returning; any other
+  /// completion posts its reply to finish_stream.
   void dispatch_stream(Shard& s, Conn& c, std::uint32_t stream,
                        StreamState& st, std::vector<std::uint8_t> frame) {
     st.handler_pending = true;
@@ -570,6 +591,16 @@ struct FrameServer::Impl {
       // reuse.
       if (const std::shared_ptr<Impl> impl = weak.lock()) {
         Shard* shard = impl->shards[shard_idx].get();
+        // Shard fields are loop-thread-only: check the thread first.
+        if (shard->reactor.on_loop_thread()) {
+          Handing* h = shard->handing;
+          if (h != nullptr && !h->done && h->fd == fd && h->gen == gen &&
+              h->stream == stream) {
+            h->reply = std::move(reply);
+            h->done = true;
+            return;
+          }
+        }
         (void)shard->reactor.post(
             [impl_raw = impl.get(), shard, fd, gen, stream,
              r = std::move(reply)]() mutable {
@@ -584,18 +615,28 @@ struct FrameServer::Impl {
             });
       }
     };
+    Handing handing{.fd = fd, .gen = gen, .stream = stream};
+    s.handing = &handing;
     try {
       handler(std::move(frame), std::move(done));
     } catch (const std::exception& e) {
-      // The handler threw on the loop thread before taking ownership of
-      // the completion: answer here, same mapping as everywhere else.
-      st.handler_pending = false;
-      --c.inflight;
-      append_reply_wrapped(s, c, stream,
-                           ErrorReply{.code = ErrorCode::kInternal,
-                                      .detail = e.what()}
-                               .encode());
+      // The handler threw on the loop thread before answering: answer
+      // here, same mapping as everywhere else.
+      if (!handing.done) {
+        handing.reply =
+            ErrorReply{.code = ErrorCode::kInternal, .detail = e.what()}
+                .encode();
+        handing.done = true;
+      }
+    } catch (...) {
+      s.handing = nullptr;
+      throw;
     }
+    s.handing = nullptr;
+    if (!handing.done) return;  // the completion will post its reply
+    st.handler_pending = false;
+    --c.inflight;
+    append_reply_wrapped(s, c, stream, std::move(handing.reply));
   }
 
   /// Pop the stream's queue until a handler is in flight again or it is
@@ -618,7 +659,7 @@ struct FrameServer::Impl {
     }
   }
 
-  /// A handler completion marshalled back to the loop thread.
+  /// A handler completion posted back to the loop thread.
   void finish_stream(Shard& s, int fd, std::uint64_t gen,
                      std::uint32_t stream, std::vector<std::uint8_t> reply) {
     const auto it = s.conns.find(fd);
@@ -791,10 +832,10 @@ AsyncFrameHandler wrap_sync(FrameHandler handler,
   if (!handler) throw std::invalid_argument("FrameServer: null handler");
   // Runs on the shard loop thread; exceptions map to Error(kInternal)
   // exactly as the thread-per-connection server did. The completion fires
-  // inline — Reactor::post makes that safe (the reply is processed later
-  // in the same loop iteration). The frame dies in this wrapper, so this
-  // is also where its buffer returns to the pool — a sync-handler server
-  // recycles without any external recycler wiring.
+  // inline, so dispatch_stream appends the reply itself, with no post.
+  // The frame dies in this wrapper, so this is also where its buffer
+  // returns to the pool — a sync-handler server recycles without any
+  // external recycler wiring.
   return [handler = std::move(handler), pool = std::move(pool)](
              std::vector<std::uint8_t> frame, CompletionFn done) {
     std::vector<std::uint8_t> reply;

@@ -59,7 +59,7 @@ struct ReactorCounters {
   /// mid-frame or an undrained reply — the slow-loris counter).
   std::uint64_t deadline_drops = 0;
   /// Cross-thread loop wakeups through the shards' eventfds (accept
-  /// handovers + async handler completions).
+  /// handovers + handler completions that fired off the loop thread).
   std::uint64_t eventfd_wakeups = 0;
   /// Connections that negotiated the mux capability via Hello.
   std::uint64_t mux_connections = 0;
@@ -144,10 +144,12 @@ struct FrameServerOptions {
 ///     for cheap dispatch, but it stalls that shard's other connections
 ///     for its duration (and may run concurrently across shards: make it
 ///     thread-safe or shard-affine);
-///   * an AsyncFrameHandler is invoked on the loop thread but replies
-///     through a completion callback from wherever the work ran — the
-///     non-blocking contract reactor callbacks require. Pair with
-///     server::AsyncDispatcher to serialize stateful endpoints off-loop.
+///   * an AsyncFrameHandler is invoked on the loop thread and replies
+///     through a completion callback: inline, before it returns (the
+///     reply is appended on the spot), or later from wherever the work
+///     ran (the reply is posted back to the loop) — the non-blocking
+///     contract reactor callbacks require. Pair with
+///     server::AsyncDispatcher to serialize stateful endpoints.
 ///
 /// A frame whose declared length exceeds kMaxTcpFrameBytes is answered
 /// with an Error(kOversized) envelope and the connection is closed (the

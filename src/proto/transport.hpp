@@ -72,11 +72,13 @@ using CompletionFn = std::function<void(std::vector<std::uint8_t> reply)>;
 using FrameRecycler = std::function<void(std::vector<std::uint8_t>&&)>;
 
 /// The non-blocking server-handler shape: take ownership of the request
-/// frame, return immediately, deliver the reply through `done` whenever it
-/// is ready (possibly inline, possibly from another thread after pool
-/// work). Reactor-mode servers call this from the event loop, so an
-/// implementation must not block — heavy work belongs behind the
-/// completion (see server::AsyncDispatcher).
+/// frame and deliver the reply through `done` — inline, before returning,
+/// when the work is short (a FrameServer then appends the reply without
+/// a cross-thread wake-up), or later from another thread. Reactor-mode
+/// servers call this from the event loop, so an implementation must not
+/// block on slow work: queue it and complete from elsewhere
+/// (server::AsyncDispatcher applies an idle lane's submission inline and
+/// queues everything else).
 using AsyncFrameHandler = std::function<void(std::vector<std::uint8_t> frame,
                                              CompletionFn done)>;
 

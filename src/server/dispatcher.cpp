@@ -52,24 +52,43 @@ proto::FrameRecycler AsyncDispatcher::recycler() const {
 
 void AsyncDispatcher::submit(std::vector<std::uint8_t> frame,
                              proto::CompletionFn done) {
-  Lane& lane = *lanes_[router_ ? router_(frame) % lanes_.size() : 0];
+  const std::optional<std::size_t> routed =
+      router_ ? router_(frame) : std::nullopt;
+  Lane& lane = *lanes_[routed ? *routed % lanes_.size() : 0];
+  // Inline candidates: per-participant submissions on a sharded
+  // dispatcher (a single lane is one worker's total order), never a
+  // barrier.
+  const bool may_inline =
+      routed && lanes_.size() > 1 && !(barrier_ && barrier_(frame));
+  std::shared_lock<std::shared_mutex> phase(phase_mu_, std::defer_lock);
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(lane.mu);
     if (!lane.stopping) {
-      // Bounded lane: past the depth cap the frame is shed on the spot —
-      // its payload is dropped now (that IS the load relief), only the
-      // small refusal reply survives to travel back.
-      if (limits_.max_lane_depth != 0 &&
-          lane.queue.size() >= limits_.max_lane_depth) {
+      if (may_inline && lane.queue.empty() && !lane.running &&
+          !paused_.load(std::memory_order_relaxed) && phase.try_lock()) {
+        lane.running = true;  // idle lane: run to completion right here
+      } else if (limits_.max_lane_depth != 0 &&
+                 lane.queue.size() >= limits_.max_lane_depth) {
+        // Bounded lane: past the depth cap the frame is shed on the spot
+        // — its payload is dropped now (that IS the load relief), only
+        // the small refusal reply survives to travel back.
         shed = true;
       } else {
         accepted_.fetch_add(1, std::memory_order_relaxed);
         lane.queue.emplace_back(std::move(frame), std::move(done));
-        lane.cv.notify_one();
+        // A held token wakes the worker itself when it is released.
+        if (!lane.running) lane.cv.notify_one();
         return;
       }
     }
+  }
+  if (phase.owns_lock()) {  // this thread holds the token and the gate
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<std::uint8_t> reply = apply(frame);
+    phase.unlock();
+    finish(lane, std::move(frame), std::move(done), std::move(reply));
+    return;
   }
   // Both refusal paths below drop the payload here and now — the buffer
   // goes straight back to the server's pool instead of dying with the
@@ -134,7 +153,7 @@ std::size_t AsyncDispatcher::pending() const {
   std::size_t total = 0;
   for (const auto& lane : lanes_) {
     std::lock_guard<std::mutex> lock(lane->mu);
-    total += lane->queue.size();
+    total += lane->queue.size() + (lane->running ? 1 : 0);
   }
   return total;
 }
@@ -144,47 +163,68 @@ void AsyncDispatcher::worker_loop(Lane& lane) {
     std::pair<std::vector<std::uint8_t>, proto::CompletionFn> job;
     {
       std::unique_lock<std::mutex> lock(lane.mu);
-      // A pause freezes dequeue (not enqueue) until resume; stop()
-      // overrides it so a paused dispatcher still drains on teardown.
+      // The worker takes the run token from an inline submission only
+      // once it is released. A pause freezes dequeue (not enqueue) until
+      // resume; stop() overrides it so a paused dispatcher still drains
+      // on teardown.
       lane.cv.wait(lock, [&] {
-        return lane.stopping ||
-               (!paused_.load(std::memory_order_relaxed) &&
-                !lane.queue.empty());
+        return !lane.running &&
+               (lane.stopping || (!paused_.load(std::memory_order_relaxed) &&
+                                  !lane.queue.empty()));
       });
       if (lane.queue.empty()) return;  // stopping and drained
       job = std::move(lane.queue.front());
       lane.queue.pop_front();
+      lane.running = true;
     }
     std::vector<std::uint8_t> reply;
-    try {
-      // The phase gate makes cross-lane interleavings defined without
-      // trusting clients to respect the protocol's barriers: a frame the
-      // predicate marks as a barrier (control plane) excludes every lane;
-      // everything else holds the gate shared. Single lane (or no
-      // predicate): no gate — one worker is already a total order.
-      if (barrier_ && lanes_.size() > 1) {
-        if (barrier_(job.first)) {
-          std::unique_lock<std::shared_mutex> phase(phase_mu_);
-          reply = handler_(job.first);
-        } else {
-          std::shared_lock<std::shared_mutex> phase(phase_mu_);
-          reply = handler_(job.first);
-        }
+    // The phase gate makes cross-lane interleavings defined without
+    // trusting clients to respect the protocol's barriers: a frame the
+    // predicate marks as a barrier (control plane) excludes every lane;
+    // everything else holds the gate shared. Single lane (or no
+    // predicate): no gate — one worker is already a total order.
+    if (barrier_ && lanes_.size() > 1) {
+      if (barrier_(job.first)) {
+        std::unique_lock<std::shared_mutex> phase(phase_mu_);
+        reply = apply(job.first);
       } else {
-        reply = handler_(job.first);
+        std::shared_lock<std::shared_mutex> phase(phase_mu_);
+        reply = apply(job.first);
       }
-    } catch (const std::exception& e) {
-      reply = proto::ErrorReply{.code = proto::ErrorCode::kInternal,
-                                .detail = e.what()}
-                  .encode();
+    } else {
+      reply = apply(job.first);
     }
-    // The frame is consumed: recycle its buffer before delivering the
-    // reply, so by the time the client sees the answer the pool is ready
-    // to serve the next read.
-    if (const proto::FrameRecycler recycle = recycler())
-      recycle(std::move(job.first));
-    if (job.second) job.second(std::move(reply));
+    finish(lane, std::move(job.first), std::move(job.second),
+           std::move(reply));
   }
+}
+
+std::vector<std::uint8_t> AsyncDispatcher::apply(
+    std::span<const std::uint8_t> frame) {
+  try {
+    return handler_(frame);
+  } catch (const std::exception& e) {
+    return proto::ErrorReply{.code = proto::ErrorCode::kInternal,
+                             .detail = e.what()}
+        .encode();
+  }
+}
+
+void AsyncDispatcher::finish(Lane& lane, std::vector<std::uint8_t> frame,
+                             proto::CompletionFn done,
+                             std::vector<std::uint8_t> reply) {
+  // The frame is consumed: recycle its buffer before delivering the
+  // reply, so by the time the client sees the answer the pool is ready
+  // to serve the next read.
+  if (const proto::FrameRecycler recycle = recycler())
+    recycle(std::move(frame));
+  {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.running = false;
+    // Frames that met the held token, or a stop, are the worker's now.
+    if (!lane.queue.empty() || lane.stopping) lane.cv.notify_one();
+  }
+  if (done) done(std::move(reply));
 }
 
 AsyncDispatcher::BarrierPredicate control_plane_barrier() {
@@ -198,14 +238,15 @@ AsyncDispatcher::BarrierPredicate control_plane_barrier() {
 
 AsyncDispatcher::LaneRouter cluster_lane_router(
     const BackendCluster& cluster) {
-  return [&cluster](std::span<const std::uint8_t> frame) -> std::size_t {
+  return [&cluster](std::span<const std::uint8_t> frame)
+             -> std::optional<std::size_t> {
     const std::optional<proto::MsgKind> kind = proto::peek_kind(frame);
     if (kind != proto::MsgKind::kBlindedReport &&
         kind != proto::MsgKind::kAdjustment &&
         kind != proto::MsgKind::kShardedSubmit)
-      return 0;
+      return std::nullopt;
     const std::optional<std::uint32_t> sender = proto::peek_sender(frame);
-    if (!sender) return 0;
+    if (!sender) return std::nullopt;
     return cluster.shard_for(*sender);
   };
 }

@@ -1,10 +1,25 @@
 // The bridge between reactor callbacks and stateful endpoints: reactor
-// handlers must not block, and BackendEndpoint/OprfEndpoint mutate
-// unsynchronized round state — AsyncDispatcher solves both at once. It
-// owns one or more FIFO dispatch lanes: the reactor-side AsyncFrameHandler
-// just enqueues (O(1), never blocks the event loop), each lane's worker
-// applies its frames to the endpoints strictly in order, and the reply
-// travels back through the completion callback the server supplied.
+// handlers must not wait on slow work, and BackendEndpoint/OprfEndpoint
+// mutate unsynchronized round state — AsyncDispatcher solves both at once.
+// It owns one or more FIFO dispatch lanes. Each lane has a run token, held
+// by whichever thread is applying one of the lane's frames, so a lane
+// applies its frames one at a time and in order; the reply travels back
+// through the completion callback the server supplied.
+//
+// Where a frame runs — inline when idle, queue when busy (IX's
+// run-to-completion policy, Belay et al., OSDI 2014): a per-participant
+// submission (a frame the router places by sender) that finds its lane
+// idle — queue empty, token free, not paused or stopping, phase gate not
+// held by a barrier — is applied on the submitting reactor thread, and
+// its completion fires before submit() returns. Every other frame (the
+// control plane, OPRF, unpeekable bytes, anything meeting a busy, paused
+// or gated lane, every frame of a single-lane dispatcher) is queued,
+// bounded and shed as below, and applied by the lane's worker once it
+// holds the token. Only an empty lane runs inline, so per-lane FIFO
+// order, the phase gate and the lane bound are the same either way. The
+// reactor only try-locks the gate; the handler itself can wait where a
+// lane worker would (the journal's backpressure bound, sync_each_submit
+// — docs/durability.md).
 //
 // Sharded dispatch: with `lanes > 1` and a LaneRouter, independent frames
 // run concurrently — one lane per backend shard, so ingest dispatch scales
@@ -24,11 +39,12 @@
 // phase, lanes only ever touch disjoint shards, and per-shard submission
 // order — the only order aggregation can observe — is preserved per
 // lane, so round results are bit-identical to the single-lane path
-// (asserted in tests/server/test_tcp_round.cpp).
+// (asserted in tests/server/test_tcp_round.cpp; the inline path in
+// tests/server/test_dispatcher.cpp).
 //
 // Heavy per-frame work — batch OPRF modexps, finalize's id-space scan —
 // still fans out across util::ThreadPool *inside* the handler exactly as
-// it does in-process; what moves off the reactor thread is everything.
+// it does in-process, on a lane worker: such frames never run inline.
 //
 // Lifetime: the dispatcher must outlive the FrameServer it feeds
 // (declare it first). Completions delivered after the server stopped are
@@ -42,6 +58,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <thread>
@@ -72,13 +89,15 @@ struct DispatcherLimits {
 
 class AsyncDispatcher {
  public:
-  /// Chooses the dispatch lane for a frame; runs on the reactor loop
-  /// thread, so it must be cheap (header peeks, no decode). Out-of-range
-  /// results are clamped modulo the lane count.
-  using LaneRouter =
-      std::function<std::size_t(std::span<const std::uint8_t> frame)>;
+  /// Chooses the dispatch lane for a frame placed by participant — the
+  /// frames that may run inline — and returns nothing for every other
+  /// frame, which rides lane 0. Runs on the reactor loop thread, so it
+  /// must be cheap (header peeks, no decode). Out-of-range results are
+  /// clamped modulo the lane count.
+  using LaneRouter = std::function<std::optional<std::size_t>(
+      std::span<const std::uint8_t> frame)>;
   /// True for frames that must run exclusively (no other lane mid-frame);
-  /// runs on the dispatch worker, cheap header peeks only.
+  /// cheap header peeks only. Such a frame never runs inline.
   using BarrierPredicate =
       std::function<bool(std::span<const std::uint8_t> frame)>;
 
@@ -102,9 +121,11 @@ class AsyncDispatcher {
   AsyncDispatcher(const AsyncDispatcher&) = delete;
   AsyncDispatcher& operator=(const AsyncDispatcher&) = delete;
 
-  /// Enqueue one frame on its routed lane; `done` fires with the reply
-  /// once that lane's worker has applied it. Never blocks beyond the lane
-  /// mutex.
+  /// Apply one frame on the calling thread if its lane is idle and it may
+  /// run inline (see the header comment), else enqueue it on its routed
+  /// lane; `done` fires with the reply once the frame has been applied —
+  /// before submit() returns in the inline case. Never waits beyond the
+  /// lane mutex for anything but the inline frame's own handler.
   void submit(std::vector<std::uint8_t> frame, proto::CompletionFn done);
 
   /// Wire the server's buffer recycler (FrameServer::frame_recycler()):
@@ -121,20 +142,23 @@ class AsyncDispatcher {
   /// the workers. Idempotent; the destructor calls it.
   void stop();
 
-  /// Frames accepted but not yet answered, across all lanes.
+  /// Frames accepted but not yet answered, across all lanes: every queued
+  /// frame plus the one each held run token is applying.
   [[nodiscard]] std::size_t pending() const;
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
 
-  /// Freeze the lane workers after their current frame: queued frames
-  /// stay queued, submits keep landing (and shedding past the bound).
+  /// Freeze the lanes after their current frame: queued frames stay
+  /// queued, submits keep landing (and shedding past the bound), and no
+  /// frame runs inline.
   /// The deterministic overload inducer — pause, fire bound+S submits,
   /// observe exactly S sheds, resume. stop() overrides a pause (the
   /// workers wake to drain), so teardown never deadlocks.
   void pause();
   void resume();
 
-  /// Frames accepted into a lane queue over the dispatcher's lifetime.
+  /// Frames accepted over the dispatcher's lifetime, queued or applied
+  /// inline.
   [[nodiscard]] std::uint64_t accepted() const noexcept {
     return accepted_.load(std::memory_order_relaxed);
   }
@@ -149,11 +173,20 @@ class AsyncDispatcher {
     std::condition_variable cv;
     std::deque<std::pair<std::vector<std::uint8_t>, proto::CompletionFn>>
         queue;
+    /// The run token: some thread is applying one of this lane's frames.
+    bool running = false;
     bool stopping = false;
     std::thread worker;
   };
 
   void worker_loop(Lane& lane);
+  /// The handler, with an exception mapped to Error(kInternal).
+  [[nodiscard]] std::vector<std::uint8_t> apply(
+      std::span<const std::uint8_t> frame);
+  /// Recycle the consumed frame, release the lane's run token, then
+  /// deliver the reply.
+  void finish(Lane& lane, std::vector<std::uint8_t> frame,
+              proto::CompletionFn done, std::vector<std::uint8_t> reply);
   /// Thread-safe snapshot of the recycler (set once at wiring time, read
   /// per frame by workers and the shed path).
   [[nodiscard]] proto::FrameRecycler recycler() const;
@@ -182,9 +215,10 @@ class AsyncDispatcher {
 /// Lane router matched to `cluster`'s own routing function: client
 /// submissions (BlindedReport / Adjustment / ShardedSubmit — sender is
 /// authoritative, enforced at decode) ride the lane of their owning
-/// backend shard; everything else serializes on lane 0. Build the
-/// dispatcher with lanes == cluster.shard_count() for full-width ingest.
-/// `cluster` must outlive the dispatcher.
+/// backend shard, and are the only frames that may run inline; everything
+/// else gets no lane and serializes on lane 0. Build the dispatcher with
+/// lanes == cluster.shard_count() for full-width ingest. `cluster` must
+/// outlive the dispatcher.
 [[nodiscard]] AsyncDispatcher::LaneRouter cluster_lane_router(
     const BackendCluster& cluster);
 

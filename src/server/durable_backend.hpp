@@ -7,8 +7,9 @@
 // exact wire envelope (sender == participant is enforced both ways), so
 // no endpoint-level frame capture is needed and replay re-enters through
 // the same decode/validate path as live traffic. All file I/O happens on
-// the DurabilityQueue's single writer thread; the dispatch lanes calling
-// in here only encode + enqueue.
+// the DurabilityQueue's single writer thread; the threads calling in here
+// (dispatch lane workers, or a reactor thread applying an idle lane's
+// submission inline) only encode + enqueue.
 //
 // Durability semantics (docs/durability.md#group-commit):
 //   * construction runs crash recovery: newest valid checkpoint restored
