@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "crypto/blinding.hpp"
@@ -16,6 +18,7 @@
 #include "crypto/montgomery.hpp"
 #include "crypto/oprf.hpp"
 #include "crypto/prime.hpp"
+#include "crypto/sha256_kernel.hpp"
 #include "sketch/count_min.hpp"
 
 namespace {
@@ -377,6 +380,38 @@ void write_trajectory(const std::string& path) {
                     bits >= 1024 ? 10 : 40),
                 .backend = crypto::active_mont_kernel().name,
                 .cores = 1});
+  }
+
+  // Blinding pad fold, per backend: ns per cell·peer (one pad of `cells`
+  // folded into an accumulator) at the quickstart sketch (4 x 256) and
+  // the paper's (17 x 2719).
+  const crypto::Sha256Kernel* pad_kernels[] = {
+      &crypto::portable_sha256_kernel(), crypto::shani_sha256_kernel(),
+      crypto::avx512_sha256_kernel()};
+  std::uint8_t seed[32];
+  for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
+  for (const crypto::Sha256Kernel* k : pad_kernels) {
+    if (k == nullptr) continue;  // not compiled in, or not on this CPU
+    for (const auto& [op, cells] :
+         {std::pair<const char*, std::size_t>{"pad_fold_4x256", 4 * 256},
+          std::pair<const char*, std::size_t>{"pad_fold_17x2719",
+                                              17 * 2719}}) {
+      std::vector<std::uint32_t> acc(cells);
+      const int iters = static_cast<int>(std::max<std::size_t>(
+          20, (std::size_t{4} << 20) / cells));
+      writer.add({.op = op,
+                  .modulus_bits = 0,
+                  .ns_per_op = time_ns_per_op(
+                                   [&] {
+                                     k->pad_fold(acc.data(), seed, cells,
+                                                 true);
+                                     benchmark::DoNotOptimize(acc.data());
+                                   },
+                                   iters) /
+                               static_cast<double>(cells),
+                  .backend = k->name,
+                  .cores = 1});
+    }
   }
 
   if (!writer.write(path)) {

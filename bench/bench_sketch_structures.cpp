@@ -4,9 +4,9 @@
 // cell-wise addition composes with additive blinding.
 //
 // `--json <path>` additionally writes the PR-over-PR trajectory rows:
-// scalar-vs-AVX2 ns/cell for the sketch kernels (merge, min-scan gather,
-// pad fold) and the measured heap allocations per accepted submission on
-// the server's ingest path.
+// scalar-vs-AVX2 ns/cell for the sketch kernels (merge, min-scan gather)
+// and the measured heap allocations per accepted submission on the
+// server's ingest path.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -144,10 +144,11 @@ double time_ns_per_op(F&& fn, int iters) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
-/// Scalar-vs-AVX2 ns/cell for the three kernel primitives the round
+/// Scalar-vs-AVX2 ns/cell for the two kernel primitives the round
 /// pipeline leans on: merge (cell-wise wrapping add — finalize and the
-/// cluster reduce), min-scan gather (query over the id space), and the
-/// pad fold (unblinding). Timed on the paper geometry, 17 x 2719 cells.
+/// cluster reduce) and min-scan gather (query over the id space). Timed on
+/// the paper geometry, 17 x 2719 cells. The blinding pad fold is a SHA-256
+/// kernel now; bench_crypto_primitives --json times it.
 void add_kernel_rows(bench::JsonWriter& writer) {
   constexpr std::size_t kCells = 17 * 2719;
   constexpr std::size_t kWidth = 2719;
@@ -157,8 +158,6 @@ void add_kernel_rows(bench::JsonWriter& writer) {
   for (std::uint32_t& c : src) c = static_cast<std::uint32_t>(rng.next());
   for (std::uint32_t& c : dst) c = static_cast<std::uint32_t>(rng.next());
   for (std::uint32_t& c : row) c = static_cast<std::uint32_t>(rng.next());
-  std::vector<std::uint8_t> stream(kCells * 4);
-  for (std::uint8_t& b : stream) b = static_cast<std::uint8_t>(rng.next());
   std::vector<std::uint32_t> idx(kKeys), out(kKeys, 0xffffffffu);
   for (std::uint32_t& i : idx)
     i = static_cast<std::uint32_t>(rng.next() % kWidth);
@@ -172,17 +171,6 @@ void add_kernel_rows(bench::JsonWriter& writer) {
                 .ns_per_op = time_ns_per_op(
                                  [&] { k->add_cells(dst.data(), src.data(),
                                                     kCells); },
-                                 400) /
-                             kCells,
-                .backend = k->name,
-                .cores = 1});
-    writer.add({.op = "sketch_pad_accumulate",
-                .modulus_bits = 0,
-                .ns_per_op = time_ns_per_op(
-                                 [&] {
-                                   k->pad_accumulate(dst.data(), stream.data(),
-                                                     kCells, true);
-                                 },
                                  400) /
                              kCells,
                 .backend = k->name,

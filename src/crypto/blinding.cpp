@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "crypto/sha256_kernel.hpp"
 #include "sketch/sketch_kernel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -31,37 +32,6 @@ BlindingParticipant::BlindingParticipant(
   });
 }
 
-std::vector<BlindCell> BlindingParticipant::pad(std::size_t peer,
-                                                std::size_t cells,
-                                                std::uint64_t round) const {
-  // One pseudo-random pad per (pair, round), expanded in counter mode:
-  // 8 cells per SHA-256 call instead of one hash per cell. Both endpoints
-  // of a pair derive the identical pad from the shared key.
-  Sha256 seed;
-  seed.update(std::span<const std::uint8_t>(pair_keys_[peer].data(),
-                                            pair_keys_[peer].size()));
-  seed.update_u64(round);
-  const Digest d = seed.finish();
-  const auto stream = sha256_expand(
-      std::span<const std::uint8_t>(d.data(), d.size()),
-      cells * sizeof(BlindCell));
-  std::vector<BlindCell> out(cells);
-  for (std::size_t m = 0; m < cells; ++m) {
-    BlindCell v = 0;
-    for (std::size_t b = 0; b < sizeof(BlindCell); ++b)
-      v = static_cast<BlindCell>((v << 8) | stream[m * sizeof(BlindCell) + b]);
-    out[m] = v;
-  }
-  return out;
-}
-
-BlindCell BlindingParticipant::factor(std::size_t peer, std::uint64_t cell,
-                                      std::uint64_t round) const {
-  // Single-cell view of the pad (kept for tests/diagnostics; bulk callers
-  // use pad() directly).
-  return pad(peer, static_cast<std::size_t>(cell) + 1, round)[cell];
-}
-
 std::vector<BlindCell> BlindingParticipant::accumulate_pads(
     std::span<const std::size_t> peers, std::size_t cells,
     std::uint64_t round) const {
@@ -73,29 +43,28 @@ std::vector<BlindCell> BlindingParticipant::accumulate_pads(
   if (peers.empty()) return out;
   const std::size_t chunks = std::min(peers.size(), pool_->size() * 4);
   const std::size_t per_chunk = (peers.size() + chunks - 1) / chunks;
-  const sketch::SketchKernel& kernel = sketch::active_sketch_kernel();
+  const Sha256Kernel& sha = active_sha256_kernel();
   std::vector<std::vector<BlindCell>> partial(chunks);
   pool_->parallel_for(chunks, [&](std::size_t c) {
     auto& acc = partial[c];
     acc.assign(cells, 0);
-    // One expansion scratch per chunk, reused across its peers: the
-    // kernel folds the big-endian pad stream straight into the
-    // accumulator, so the per-peer pad never materializes as cells.
-    std::vector<std::uint8_t> stream(cells * sizeof(BlindCell));
     const std::size_t begin = c * per_chunk;
     const std::size_t end = std::min(peers.size(), begin + per_chunk);
     for (std::size_t k = begin; k < end; ++k) {
+      // One pseudo-random pad per (pair, round), seeded by
+      // SHA256(k_ij || round) and folded straight into the accumulator:
+      // both ends of the pair derive the identical pad, and the lower
+      // index subtracts what the higher one adds.
       const std::size_t j = peers[k];
       Sha256 seed;
       seed.update(std::span<const std::uint8_t>(pair_keys_[j].data(),
                                                 pair_keys_[j].size()));
       seed.update_u64(round);
       const Digest d = seed.finish();
-      sha256_expand_into(std::span<const std::uint8_t>(d.data(), d.size()),
-                         stream);
-      kernel.pad_accumulate(acc.data(), stream.data(), cells, index_ > j);
+      sha.pad_fold(acc.data(), d.data(), cells, index_ > j);
     }
   });
+  const sketch::SketchKernel& kernel = sketch::active_sketch_kernel();
   for (const auto& acc : partial) kernel.add_cells(out.data(), acc.data(), cells);
   return out;
 }

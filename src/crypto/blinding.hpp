@@ -1,10 +1,14 @@
 // Additive random shares of zero (Kursawe et al., PETS'11 style), used to
 // blind count-min-sketch cells before reporting them (Section 6).
 //
-// Participant i derives, for every peer j, a symmetric key from the DH
-// shared secret y_j^{x_i}. The blinding factor for cell m at round s is
-//   b_i[m] = sum_{j != i} H(k_ij || m || s) * (-1)^{i > j}
-// in wrapping 32-bit arithmetic (cells are 4 bytes, matching the paper).
+// Participant i derives, for every peer j, a symmetric key k_ij from the
+// DH shared secret y_j^{x_i}. The blinding factor for cell m at round s is
+//   b_i[m] = sum_{j != i} P_ij[m] * (+1 if i > j, else -1)
+// in wrapping 32-bit arithmetic (cells are 4 bytes, matching the paper),
+// where the pad P_ij is the big-endian u32 stream
+//   SHA256(d ‖ 0) ‖ SHA256(d ‖ 1) ‖ ...,   d = SHA256(k_ij ‖ s),
+// with s and each counter as 8 bytes big-endian (crypto/sha256_kernel.hpp,
+// pad_fold).
 // Each pair (i, j) contributes +t to one participant and -t to the other,
 // so sum_i b_i[m] == 0: cell-wise aggregation of all blinded reports yields
 // the true aggregate.
@@ -67,11 +71,6 @@ class BlindingParticipant {
   [[nodiscard]] std::vector<BlindCell> accumulate_pads(
       std::span<const std::size_t> peers, std::size_t cells,
       std::uint64_t round) const;
-  /// Full pseudo-random pad shared with `peer` for this round.
-  [[nodiscard]] std::vector<BlindCell> pad(std::size_t peer, std::size_t cells,
-                                           std::uint64_t round) const;
-  [[nodiscard]] BlindCell factor(std::size_t peer, std::uint64_t cell,
-                                 std::uint64_t round) const;
 
   std::size_t index_;
   std::vector<Digest> pair_keys_;  // pair_keys_[j]; entry [index_] unused

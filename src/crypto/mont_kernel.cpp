@@ -4,10 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <cpuid.h>
-#define EYW_X86_64 1
-#endif
+#include "util/cpu_features.hpp"
 
 namespace eyw::crypto {
 
@@ -149,15 +146,11 @@ const MontKernel* resolve_active() noexcept {
 const MontKernel& portable_mont_kernel() noexcept { return kPortable; }
 
 bool cpu_supports_adx() noexcept {
-#if defined(EYW_X86_64)
-  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  constexpr unsigned int kBmi2 = 1u << 8;   // EBX bit 8
-  constexpr unsigned int kAdx = 1u << 19;   // EBX bit 19
+  // Scalar extensions on general-purpose registers: no OS state to check.
+  constexpr std::uint32_t kBmi2 = 1u << 8;   // CPUID.7.0:EBX bit 8
+  constexpr std::uint32_t kAdx = 1u << 19;   // CPUID.7.0:EBX bit 19
+  const std::uint32_t ebx = util::cpuid7_ebx();
   return (ebx & kBmi2) != 0 && (ebx & kAdx) != 0;
-#else
-  return false;
-#endif
 }
 
 const MontKernel* adx_mont_kernel() noexcept {

@@ -6,17 +6,7 @@
 
 namespace eyw::crypto {
 
-namespace {
-
-// FIPS 180-4 initial hash value; counter-mode expansion restarts from it
-// for every output block.
-constexpr std::array<std::uint32_t, 8> kIv = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-}  // namespace
-
-Sha256::Sha256() noexcept : h_(kIv) {}
+Sha256::Sha256() noexcept : h_(detail::kSha256Iv) {}
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {
   active_sha256_kernel().compress(h_.data(), block, 1);
@@ -134,15 +124,9 @@ std::uint64_t digest_to_u64(const Digest& d) noexcept {
 std::vector<std::uint8_t> sha256_expand(std::span<const std::uint8_t> seed,
                                         std::size_t len) {
   std::vector<std::uint8_t> out(len);
-  sha256_expand_into(seed, out);
-  return out;
-}
-
-void sha256_expand_into(std::span<const std::uint8_t> seed,
-                        std::span<std::uint8_t> out) noexcept {
-  // Hot path (the blinding pad expansion): seed || counter || padding
-  // fits a single message block, so prepare the padded block once and
-  // per output block only rewrite the 8 counter bytes and run one raw
+  // Fast path (the OPRF's 32-byte seeds): seed || counter || padding fits
+  // a single message block, so prepare the padded block once and per
+  // output block only rewrite the 8 counter bytes and run one raw
   // compression from the IV — no Sha256 object, no byte-at-a-time
   // padding loop. Produces exactly the incremental-API bytes: the
   // padding layout below is what update()+finish() would build.
@@ -163,9 +147,8 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
         block[ctr_off + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(counter >> (56 - 8 * i));
       ++counter;
-      std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-      kernel.compress(st, block, 1);
+      std::array<std::uint32_t, 8> st = detail::kSha256Iv;
+      kernel.compress(st.data(), block, 1);
       std::uint8_t digest[32];
       for (int i = 0; i < 8; ++i) {
         digest[4 * i] = static_cast<std::uint8_t>(st[i] >> 24);
@@ -177,7 +160,7 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
       std::memcpy(out.data() + off, digest, take);
       off += take;
     }
-    return;
+    return out;
   }
   std::uint64_t counter = 0;
   std::size_t off = 0;
@@ -190,6 +173,7 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
     std::memcpy(out.data() + off, d.data(), take);
     off += take;
   }
+  return out;
 }
 
 }  // namespace eyw::crypto

@@ -55,10 +55,4 @@ class Sha256 {
 [[nodiscard]] std::vector<std::uint8_t> sha256_expand(
     std::span<const std::uint8_t> seed, std::size_t len);
 
-/// sha256_expand writing into caller-owned storage — the allocation-free
-/// form the blinding hot loop reuses one scratch buffer through. Fills
-/// out.size() bytes.
-void sha256_expand_into(std::span<const std::uint8_t> seed,
-                        std::span<std::uint8_t> out) noexcept;
-
 }  // namespace eyw::crypto

@@ -1,12 +1,9 @@
 #include "crypto/sha256_kernel.hpp"
 
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <cpuid.h>
-#define EYW_X86_64 1
-#endif
+#include "util/cpu_features.hpp"
 
 namespace eyw::crypto {
 
@@ -15,88 +12,118 @@ namespace detail {
 // Defined in sha256_shani.cpp (compiled with -msha -msse4.1).
 const Sha256Kernel& shani_kernel_impl() noexcept;
 #endif
+#if defined(EYW_HAVE_AVX512_SHA256)
+// Defined in sha256_avx512.cpp (compiled with -mavx512f).
+void avx512_pad_fold(std::uint32_t* acc, const std::uint8_t* seed,
+                     std::size_t cells, bool positive);
+#endif
 }  // namespace detail
 
 namespace {
 
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+using detail::kSha256Iv;
+using detail::kSha256K;
 
 constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
 }
 
+constexpr std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
+/// One compression of the message words w[0..15] into `state`; the
+/// schedule fills w[16..63] and leaves the message words as they were.
+void compress_words(std::uint32_t state[8], std::uint32_t w[64]) {
+  for (int i = 16; i < 64; ++i) {
+    const std::uint32_t s0 =
+        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const std::uint32_t s1 =
+        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t t1 =
+        h + s1 + ch + kSha256K[static_cast<std::size_t>(i)] + w[i];
+    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t t2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + t1;
+    d = c;
+    c = b;
+    b = a;
+    a = t1 + t2;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
 void portable_compress(std::uint32_t state[8], const std::uint8_t* blocks,
                        std::size_t count) {
+  std::uint32_t w[64];
   for (std::size_t blk = 0; blk < count; ++blk, blocks += 64) {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
-             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
-             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
-             static_cast<std::uint32_t>(blocks[4 * i + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-      const std::uint32_t s0 =
-          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      const std::uint32_t s1 =
-          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-    for (int i = 0; i < 64; ++i) {
-      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-      const std::uint32_t ch = (e & f) ^ (~e & g);
-      const std::uint32_t t1 =
-          h + s1 + ch + kK[static_cast<std::size_t>(i)] + w[i];
-      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-      const std::uint32_t t2 = s0 + maj;
-      h = g;
-      g = f;
-      f = e;
-      e = d + t1;
-      d = c;
-      c = b;
-      b = a;
-      a = t1 + t2;
-    }
-    state[0] += a;
-    state[1] += b;
-    state[2] += c;
-    state[3] += d;
-    state[4] += e;
-    state[5] += f;
-    state[6] += g;
-    state[7] += h;
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    compress_words(state, w);
   }
 }
 
-constexpr Sha256Kernel kPortable{portable_compress, "portable"};
+void portable_pad_fold(std::uint32_t* acc, const std::uint8_t* seed,
+                       std::size_t cells, bool positive) {
+  std::uint32_t w[64] = {};
+  for (int i = 0; i < 8; ++i) w[i] = load_be32(seed + 4 * i);
+  w[10] = detail::kPadW10;
+  w[15] = detail::kPadW15;
+  for (std::uint64_t counter = 0; cells > 0; ++counter) {
+    w[8] = static_cast<std::uint32_t>(counter >> 32);
+    w[9] = static_cast<std::uint32_t>(counter);
+    std::array<std::uint32_t, 8> st = kSha256Iv;
+    compress_words(st.data(), w);
+    const std::size_t take = cells < 8 ? cells : 8;
+    for (std::size_t i = 0; i < take; ++i)
+      acc[i] = positive ? acc[i] + st[i] : acc[i] - st[i];
+    acc += take;
+    cells -= take;
+  }
+}
+
+constexpr Sha256Kernel kPortable{portable_compress, portable_pad_fold,
+                                 "portable"};
 
 const Sha256Kernel* resolve_active() noexcept {
   const char* pref = std::getenv("EYW_SHA256_KERNEL");
-  const bool force_portable =
-      pref != nullptr && std::strcmp(pref, "portable") == 0;
-  if (!force_portable) {
-    if (const Sha256Kernel* shani = shani_sha256_kernel()) return shani;
-  }
-  // "shani" requested but unavailable degrades to portable — the override
-  // is a test knob, not a correctness switch, and portable is always
-  // right.
-  return &kPortable;
+  const std::string_view want = pref != nullptr ? pref : "auto";
+  const Sha256Kernel* const avx512 = avx512_sha256_kernel();
+  const Sha256Kernel* const shani = shani_sha256_kernel();
+  const Sha256Kernel* pick = nullptr;
+  if (want == "portable")
+    pick = &kPortable;
+  else if (want == "shani")
+    pick = shani;
+  else if (want == "avx512")
+    pick = avx512;
+  else
+    pick = avx512 != nullptr ? avx512 : shani;
+  // A requested backend the build or CPU lacks degrades to portable: the
+  // override is a test knob, not a correctness switch, and portable is
+  // always right.
+  return pick != nullptr ? pick : &kPortable;
 }
 
 }  // namespace
@@ -104,20 +131,36 @@ const Sha256Kernel* resolve_active() noexcept {
 const Sha256Kernel& portable_sha256_kernel() noexcept { return kPortable; }
 
 bool cpu_supports_sha_ni() noexcept {
-#if defined(EYW_X86_64)
-  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  constexpr unsigned int kShaNi = 1u << 29;  // EBX bit 29
-  return (ebx & kShaNi) != 0;
-#else
-  return false;
-#endif
+  // SHA-NI works on XMM registers, whose state every x86-64 OS saves.
+  constexpr std::uint32_t kShaNi = 1u << 29;  // CPUID.7.0:EBX bit 29
+  return (util::cpuid7_ebx() & kShaNi) != 0;
+}
+
+bool cpu_supports_avx512f() noexcept {
+  constexpr std::uint32_t kAvx512f = 1u << 16;  // CPUID.7.0:EBX bit 16
+  return (util::cpuid7_ebx() & kAvx512f) != 0 &&
+         util::os_saves_xstate(util::kXcr0Avx512);
 }
 
 const Sha256Kernel* shani_sha256_kernel() noexcept {
 #if defined(EYW_HAVE_SHANI_KERNEL)
   static const bool usable = cpu_supports_sha_ni();
   return usable ? &detail::shani_kernel_impl() : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const Sha256Kernel* avx512_sha256_kernel() noexcept {
+#if defined(EYW_HAVE_AVX512_SHA256)
+  // Only the pad fold is 16 lanes wide; one message at a time still runs
+  // SHA-NI where the CPU has it.
+  static const Sha256Kernel kernel{
+      shani_sha256_kernel() != nullptr ? shani_sha256_kernel()->compress
+                                       : portable_compress,
+      detail::avx512_pad_fold, "avx512"};
+  static const bool usable = cpu_supports_avx512f();
+  return usable ? &kernel : nullptr;
 #else
   return nullptr;
 #endif

@@ -3,10 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <cpuid.h>
-#define EYW_X86_64 1
-#endif
+#include "util/cpu_features.hpp"
 
 namespace eyw::sketch {
 
@@ -29,17 +26,6 @@ void portable_sub(std::uint32_t* dst, const std::uint32_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
 }
 
-void portable_pad_accumulate(std::uint32_t* acc, const std::uint8_t* stream,
-                             std::size_t n, bool positive) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = (static_cast<std::uint32_t>(stream[4 * i]) << 24) |
-                            (static_cast<std::uint32_t>(stream[4 * i + 1]) << 16) |
-                            (static_cast<std::uint32_t>(stream[4 * i + 2]) << 8) |
-                            static_cast<std::uint32_t>(stream[4 * i + 3]);
-    acc[i] = positive ? acc[i] + v : acc[i] - v;
-  }
-}
-
 void portable_row_min(std::uint32_t* out, const std::uint32_t* row,
                       const std::uint32_t* idx, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -48,8 +34,7 @@ void portable_row_min(std::uint32_t* out, const std::uint32_t* row,
   }
 }
 
-constexpr SketchKernel kPortable{portable_add, portable_sub,
-                                 portable_pad_accumulate, portable_row_min,
+constexpr SketchKernel kPortable{portable_add, portable_sub, portable_row_min,
                                  "portable"};
 
 const SketchKernel* resolve_active() noexcept {
@@ -69,14 +54,9 @@ const SketchKernel* resolve_active() noexcept {
 const SketchKernel& portable_sketch_kernel() noexcept { return kPortable; }
 
 bool cpu_supports_avx2() noexcept {
-#if defined(EYW_X86_64)
-  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  constexpr unsigned int kAvx2 = 1u << 5;  // EBX bit 5
-  return (ebx & kAvx2) != 0;
-#else
-  return false;
-#endif
+  constexpr std::uint32_t kAvx2 = 1u << 5;  // CPUID.7.0:EBX bit 5
+  return (util::cpuid7_ebx() & kAvx2) != 0 &&
+         util::os_saves_xstate(util::kXcr0Avx);
 }
 
 const SketchKernel* avx2_sketch_kernel() noexcept {

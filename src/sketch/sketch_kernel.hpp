@@ -3,13 +3,14 @@
 // multiplication.
 //
 // Everything that touches count-min cells in bulk (merge, the id-space
-// min-scan, blinding-pad accumulation, blinded aggregation) bottoms out in
-// one of four primitive loops over 32-bit cells. Each exists twice:
+// min-scan, blinded aggregation and adjustment) bottoms out in one of
+// three primitive loops over 32-bit cells. Each exists twice:
 //
 //  * portable — plain scalar loops compiled for the baseline target.
 //    Always present; also the agreement oracle for the differential tests.
 //  * avx2 — 8-lane AVX2 implementations compiled as their own translation
-//    unit with `-mavx2`, selected only when CPUID reports AVX2 at runtime.
+//    unit with `-mavx2`, selected only when CPUID reports AVX2 and the OS
+//    saves YMM state (util/cpu_features.hpp).
 //
 // Selection happens once per process in active_sketch_kernel(); the
 // environment variable EYW_SKETCH_KERNEL ("portable" | "avx2" | "auto")
@@ -20,8 +21,8 @@
 //  * cells are wrapping uint32_t; every operation is elementwise, so the
 //    two backends are bit-identical by construction (no reassociation of
 //    anything narrower than a lane).
-//  * pointers may be unaligned; `dst`/`acc`/`out` must not alias `src`/
-//    `stream`/`row`/`idx`.
+//  * pointers may be unaligned; `dst`/`out` must not alias `src`/`row`/
+//    `idx`.
 //  * `idx[i] < row length` is the caller's responsibility (row_min reads
 //    row[idx[i]]); indices must fit in 31 bits (AVX2 gathers are signed).
 #pragma once
@@ -38,11 +39,6 @@ struct SketchKernel {
   /// dst[i] -= src[i] (wrapping), i in [0, n).
   void (*sub_cells)(std::uint32_t* dst, const std::uint32_t* src,
                     std::size_t n);
-  /// Fused pad fold: acc[i] ±= big-endian u32 at stream + 4 i. This is the
-  /// blinding hot loop — one pass replaces the decode-to-vector byte
-  /// shuffle plus the separate signed accumulate.
-  void (*pad_accumulate)(std::uint32_t* acc, const std::uint8_t* stream,
-                         std::size_t n, bool positive);
   /// out[i] = min(out[i], row[idx[i]]) — the gather half of the count-min
   /// min-scan (hashes stay scalar; see CountMinSketch).
   void (*row_min)(std::uint32_t* out, const std::uint32_t* row,
@@ -59,8 +55,8 @@ struct SketchKernel {
 /// toolchain without -mavx2) or the CPU lacks AVX2.
 [[nodiscard]] const SketchKernel* avx2_sketch_kernel() noexcept;
 
-/// CPUID says this CPU executes AVX2 (independent of whether the kernel was
-/// compiled in).
+/// CPUID says this CPU executes AVX2 and XCR0 says the OS saves YMM state
+/// (independent of whether the kernel was compiled in).
 [[nodiscard]] bool cpu_supports_avx2() noexcept;
 
 /// The kernel bulk cell operations use: avx2 when compiled in and the CPU

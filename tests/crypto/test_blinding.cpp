@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "crypto/sha256.hpp"
+#include "util/hex.hpp"
+
 namespace eyw::crypto {
 namespace {
 
@@ -152,6 +158,72 @@ TEST(Blinding, ConstructorValidatesRoster) {
 TEST(Blinding, AggregateRejectsMismatchedSizes) {
   std::vector<std::vector<BlindCell>> reports{{1, 2}, {1, 2, 3}};
   EXPECT_THROW(aggregate_blinded(reports), std::invalid_argument);
+}
+
+// The pads themselves, pinned. Every test above checks only that the
+// shares cancel, which would still hold if the pad stream changed on both
+// ends of every pair at once. These are SHA-256 digests of the
+// little-endian cell bytes of blinding_vector(cells, 27) for a seeded
+// five-member roster: participant 0 sits below every peer (each pad is
+// subtracted), participant 4 above every peer (each pad is added), and
+// participant 2 has peers on both sides. The cell counts cover a single
+// cell, one past a SHA-256 block (8 cells), the 4x256 sketch, a count
+// that is not a multiple of 128, and the paper's 17x2719 sketch.
+std::string blinding_digest_hex(const BlindingParticipant& p,
+                                std::size_t cells, std::uint64_t round) {
+  const std::vector<BlindCell> v = p.blinding_vector(cells, round);
+  std::vector<std::uint8_t> bytes(v.size() * sizeof(BlindCell));
+  for (std::size_t m = 0; m < v.size(); ++m)
+    for (std::size_t b = 0; b < sizeof(BlindCell); ++b)
+      bytes[m * sizeof(BlindCell) + b] =
+          static_cast<std::uint8_t>(v[m] >> (8 * b));
+  return util::to_hex(sha256(bytes));
+}
+
+TEST(Blinding, PadStreamMatchesGoldenDigests) {
+  const Roster r = make_roster(5, 2701);
+  struct Golden {
+    std::size_t participant;
+    std::size_t cells;
+    const char* digest;
+  };
+  const Golden golden[] = {
+      {0, 1,
+       "caef8ea1399c22a07be5dbd46a0ddb77a0f1cf1df7870115aeea1a4eac706f38"},
+      {0, 9,
+       "7a76fc18d4e66b4861b555e0038c1d27460f39ec641e015ec353e1d34583d714"},
+      {0, 1024,
+       "39ac62068e294224e3fd6980997f9c2aad845841e42f26d97ebe773a95684d78"},
+      {0, 5000,
+       "a3f5f47ac93028fb278daae5fce02d374a5e7b63e559287c526296fbfc989b84"},
+      {0, 46223,
+       "8ce0bad8e46330afa4353fe4813739d6e3e2627db23484352fc25495f1acc851"},
+      {2, 1,
+       "f8e4dbb154a34ec25abb00136ace8236ceca2e3aadcb76ff1c7bba25232bdbbd"},
+      {2, 9,
+       "96b75296640a8defb61e52758f520e5e90cabfde693cb9fdd5046b8ec44821f8"},
+      {2, 1024,
+       "9aaabfb135fafb95e9c9d1b539624ca0c637a72e1b2d84460fe654877756cc1a"},
+      {2, 5000,
+       "faa9d73d8f7ed1b7695f3c0b100ec0be095fd072e2588b0a7ca05d43131dff73"},
+      {2, 46223,
+       "00fb673726e88aa58eb0123b9dd76ee7c4dd30a191560f96cb4bb2dccfd658d6"},
+      {4, 1,
+       "c031da94b3db6cc937db61cc608b1d99662adfebe458129ebc5729719f0bc4f9"},
+      {4, 9,
+       "6b3311530c2a84d9415cf18f84a0bff45f3fea2fa52f15a1e84cd8baa04da765"},
+      {4, 1024,
+       "e873f9000f542329650ddd0f0f954564a464cdbd8c254924fd9e1f616ad458d7"},
+      {4, 5000,
+       "1955a0253bfcedc7c641addabee06d758e91be999d7a41dc934ac00a944b0154"},
+      {4, 46223,
+       "c0c5478afb33b97132767a51e9c78de038f69e07d974c37d97299a4c9106d5f6"},
+  };
+  for (const Golden& g : golden) {
+    EXPECT_EQ(blinding_digest_hex(r.participants[g.participant], g.cells, 27),
+              g.digest)
+        << "participant " << g.participant << ", " << g.cells << " cells";
+  }
 }
 
 TEST(Blinding, RosterBytesScalesQuadratically) {

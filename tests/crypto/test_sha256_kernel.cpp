@@ -1,12 +1,14 @@
-// Differential suite for the SHA-256 compression kernels: the SHA-NI
-// backend must agree bit-for-bit with the portable scalar compression on
-// single blocks, multi-block chains, and through the public digest /
-// counter-mode-expansion APIs. Skips cleanly when SHA-NI is not compiled
-// in or the CPU lacks it — the portable compression is the oracle.
+// Differential suite for the SHA-256 kernels. The SHA-NI compression must
+// agree bit-for-bit with the portable scalar compression on single
+// blocks, multi-block chains and unaligned input; those cases skip
+// cleanly when SHA-NI is not compiled in or the CPU lacks it. Every
+// available pad_fold backend (portable, shani, avx512) must fold exactly
+// the pad an oracle builds from the incremental Sha256 API.
 #include "crypto/sha256_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace eyw::crypto {
@@ -109,8 +112,7 @@ TEST(Sha256KernelGlue, ExpandFastPathMatchesIncrementalReference) {
   std::array<std::uint8_t, 32> seed;
   for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
   for (const std::size_t len : {1u, 31u, 32u, 33u, 64u, 100u, 4096u}) {
-    std::vector<std::uint8_t> fast(len);
-    sha256_expand_into(seed, fast);
+    const std::vector<std::uint8_t> fast = sha256_expand(seed, len);
     std::vector<std::uint8_t> want(len);
     std::uint64_t counter = 0;
     std::size_t off = 0;
@@ -127,16 +129,104 @@ TEST(Sha256KernelGlue, ExpandFastPathMatchesIncrementalReference) {
   }
 }
 
+std::vector<const Sha256Kernel*> available_kernels() {
+  std::vector<const Sha256Kernel*> kernels{&portable_sha256_kernel()};
+  if (const Sha256Kernel* k = shani_sha256_kernel()) kernels.push_back(k);
+  if (const Sha256Kernel* k = avx512_sha256_kernel()) kernels.push_back(k);
+  return kernels;
+}
+
+/// The pad as the incremental API defines it: cell m is the big-endian
+/// u32 at byte 4(m mod 8) of SHA256(seed || u64_be(m / 8)).
+std::vector<std::uint32_t> oracle_pad(const std::array<std::uint8_t, 32>& seed,
+                                      std::size_t cells) {
+  std::vector<std::uint32_t> pad(cells);
+  Digest d{};
+  for (std::size_t m = 0; m < cells; ++m) {
+    if (m % 8 == 0) {
+      Sha256 h;
+      h.update(std::span<const std::uint8_t>(seed.data(), seed.size()));
+      h.update_u64(m / 8);
+      d = h.finish();
+    }
+    const std::uint8_t* p = d.data() + 4 * (m % 8);
+    pad[m] = (static_cast<std::uint32_t>(p[0]) << 24) |
+             (static_cast<std::uint32_t>(p[1]) << 16) |
+             (static_cast<std::uint32_t>(p[2]) << 8) |
+             static_cast<std::uint32_t>(p[3]);
+  }
+  return pad;
+}
+
+TEST(Sha256PadFold, EveryBackendMatchesTheIncrementalApiOracle) {
+  // Counts around one block (8 cells) and one AVX-512 pass (128 cells),
+  // the 4x256 sketch, a count that is neither, and the paper's 17x2719.
+  // The accumulator starts random, sits 0-3 words into its buffer,
+  // and has guard words after it that no backend may touch.
+  util::Rng rng(46);
+  constexpr std::size_t kGuard = 19;
+  for (const std::size_t cells :
+       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 127u, 128u, 129u, 1024u, 5000u,
+        46223u}) {
+    std::array<std::uint8_t, 32> seed;
+    for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
+    const std::vector<std::uint32_t> pad = oracle_pad(seed, cells);
+    for (const bool positive : {true, false}) {
+      for (std::size_t off = 0; off < 4; ++off) {
+        std::vector<std::uint32_t> backing(off + cells + kGuard);
+        for (std::uint32_t& c : backing)
+          c = static_cast<std::uint32_t>(rng.next());
+        std::vector<std::uint32_t> want = backing;
+        for (std::size_t m = 0; m < cells; ++m)
+          want[off + m] = positive ? want[off + m] + pad[m]
+                                   : want[off + m] - pad[m];
+        for (const Sha256Kernel* kernel : available_kernels()) {
+          std::vector<std::uint32_t> got = backing;
+          kernel->pad_fold(got.data() + off, seed.data(), cells, positive);
+          EXPECT_EQ(got, want) << kernel->name << ": " << cells
+                               << " cells, positive=" << positive
+                               << ", offset " << off;
+        }
+      }
+    }
+  }
+}
+
 TEST(Sha256KernelSelection, ActiveKernelRespectsEnvOverride) {
-  const Sha256Kernel& active = active_sha256_kernel();
+  // The crypto suite runs under three CI legs: auto, and
+  // EYW_SHA256_KERNEL=portable and =shani forced.
+  const std::string_view name = active_sha256_kernel().name;
   const char* env = ::getenv("EYW_SHA256_KERNEL");
-  if (env != nullptr && std::string_view(env) == "portable")
-    EXPECT_STREQ(active.name, "portable");
-  else
-    EXPECT_TRUE(std::string_view(active.name) == "portable" ||
-                std::string_view(active.name) == "shani");
-  if (std::string_view(active.name) == "shani")
-    EXPECT_NE(shani_sha256_kernel(), nullptr);
+  const std::string_view want = env != nullptr ? env : "";
+  const Sha256Kernel* const shani = shani_sha256_kernel();
+  const Sha256Kernel* const avx512 = avx512_sha256_kernel();
+  if (want == "portable") {
+    EXPECT_EQ(name, "portable");
+  } else if (want == "shani") {
+    EXPECT_EQ(name, shani != nullptr ? "shani" : "portable");
+  } else if (want == "avx512") {
+    EXPECT_EQ(name, avx512 != nullptr ? "avx512" : "portable");
+  } else {
+    EXPECT_EQ(name, avx512 != nullptr  ? "avx512"
+                    : shani != nullptr ? "shani"
+                                       : "portable");
+  }
+}
+
+TEST(Sha256KernelSelection, Avx512RunsOnlyWhereTheOsSavesZmmState) {
+  // The probe checks XCR0 as well as the CPUID bit, so an active avx512
+  // kernel implies the OS saves opmask and ZMM state on this host.
+  if (std::string_view(active_sha256_kernel().name) == "avx512") {
+    EXPECT_TRUE(util::os_saves_xstate(util::kXcr0Avx512));
+  }
+}
+
+TEST(Sha256KernelSelection, Avx512HashesOneMessageWithShaNiOrPortable) {
+  const Sha256Kernel* const avx512 = avx512_sha256_kernel();
+  if (avx512 == nullptr) GTEST_SKIP() << "AVX-512 kernel unavailable";
+  const Sha256Kernel* const shani = shani_sha256_kernel();
+  EXPECT_EQ(avx512->compress,
+            (shani != nullptr ? shani : &portable_sha256_kernel())->compress);
 }
 
 }  // namespace

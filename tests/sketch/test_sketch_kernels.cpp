@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace eyw::sketch {
@@ -79,23 +80,6 @@ TEST_F(SketchKernelDifferential, SubCellsAgreesOnEveryShape) {
   }
 }
 
-TEST_F(SketchKernelDifferential, PadAccumulateAgreesBothSigns) {
-  util::Rng rng(13);
-  for (const std::size_t n : interesting_sizes()) {
-    std::vector<std::uint8_t> stream(n * 4);
-    for (std::uint8_t& b : stream)
-      b = static_cast<std::uint8_t>(rng.next());
-    const std::vector<std::uint32_t> base = random_cells(rng, n);
-    for (const bool positive : {true, false}) {
-      std::vector<std::uint32_t> want = base;
-      std::vector<std::uint32_t> got = base;
-      portable_.pad_accumulate(want.data(), stream.data(), n, positive);
-      avx2_->pad_accumulate(got.data(), stream.data(), n, positive);
-      EXPECT_EQ(want, got) << "n=" << n << " positive=" << positive;
-    }
-  }
-}
-
 TEST_F(SketchKernelDifferential, RowMinAgreesOnEveryShape) {
   util::Rng rng(14);
   for (const std::size_t n : interesting_sizes()) {
@@ -138,18 +122,6 @@ TEST_F(SketchKernelDifferential, UnalignedBasesAgree) {
     avx2_->sub_cells(got.data() + off, backing_src.data() + off, kN);
     EXPECT_EQ(want, got) << "offset=" << off;
   }
-  // Byte streams can land at any offset at all (they come straight out of
-  // SHA-256 output buffers).
-  std::vector<std::uint8_t> stream(kN * 4 + 8);
-  for (std::uint8_t& b : stream)
-    b = static_cast<std::uint8_t>(rng.next());
-  for (std::size_t off = 0; off < 5; ++off) {
-    std::vector<std::uint32_t> want = backing_base;
-    std::vector<std::uint32_t> got = backing_base;
-    portable_.pad_accumulate(want.data(), stream.data() + off, kN, true);
-    avx2_->pad_accumulate(got.data(), stream.data() + off, kN, true);
-    EXPECT_EQ(want, got) << "stream offset=" << off;
-  }
 }
 
 TEST(SketchKernelSelection, ActiveKernelRespectsEnvOverride) {
@@ -165,6 +137,14 @@ TEST(SketchKernelSelection, ActiveKernelRespectsEnvOverride) {
                 std::string_view(active.name) == "avx2");
   if (std::string_view(active.name) == "avx2")
     EXPECT_NE(avx2_sketch_kernel(), nullptr);
+}
+
+TEST(SketchKernelSelection, Avx2RunsOnlyWhereTheOsSavesYmmState) {
+  // The probe checks XCR0 as well as the CPUID bit, so an active avx2
+  // kernel implies the OS saves SSE and YMM state on this host.
+  if (std::string_view(active_sketch_kernel().name) == "avx2") {
+    EXPECT_TRUE(util::os_saves_xstate(util::kXcr0Avx));
+  }
 }
 
 }  // namespace
