@@ -124,42 +124,15 @@ std::uint64_t digest_to_u64(const Digest& d) noexcept {
 std::vector<std::uint8_t> sha256_expand(std::span<const std::uint8_t> seed,
                                         std::size_t len) {
   std::vector<std::uint8_t> out(len);
-  // Fast path (the OPRF's 32-byte seeds): seed || counter || padding fits
-  // a single message block, so prepare the padded block once and per
-  // output block only rewrite the 8 counter bytes and run one raw
-  // compression from the IV — no Sha256 object, no byte-at-a-time
-  // padding loop. Produces exactly the incremental-API bytes: the
-  // padding layout below is what update()+finish() would build.
-  if (seed.size() + 8 <= 55) {
-    const Sha256Kernel& kernel = active_sha256_kernel();
-    const std::size_t ctr_off = seed.size();
-    std::uint8_t block[64] = {0};
-    std::memcpy(block, seed.data(), seed.size());
-    block[ctr_off + 8] = 0x80;
-    const std::uint64_t bit_len =
-        (static_cast<std::uint64_t>(seed.size()) + 8) * 8;
-    for (int i = 0; i < 8; ++i)
-      block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    std::uint64_t counter = 0;
-    std::size_t off = 0;
-    while (off < out.size()) {
-      for (int i = 0; i < 8; ++i)
-        block[ctr_off + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(counter >> (56 - 8 * i));
-      ++counter;
-      std::array<std::uint32_t, 8> st = detail::kSha256Iv;
-      kernel.compress(st.data(), block, 1);
-      std::uint8_t digest[32];
-      for (int i = 0; i < 8; ++i) {
-        digest[4 * i] = static_cast<std::uint8_t>(st[i] >> 24);
-        digest[4 * i + 1] = static_cast<std::uint8_t>(st[i] >> 16);
-        digest[4 * i + 2] = static_cast<std::uint8_t>(st[i] >> 8);
-        digest[4 * i + 3] = static_cast<std::uint8_t>(st[i]);
-      }
-      const std::size_t take = std::min<std::size_t>(32, out.size() - off);
-      std::memcpy(out.data() + off, digest, take);
-      off += take;
-    }
+  // A 32-byte seed (the OPRF's digests) makes this stream exactly a
+  // blinding pad, so the kernel's pad fold into zeroed cells yields its
+  // big-endian words.
+  if (seed.size() == 32) {
+    std::vector<std::uint32_t> cells((len + 3) / 4, 0);
+    active_sha256_kernel().pad_fold(cells.data(), seed.data(), cells.size(),
+                                    true);
+    for (std::size_t i = 0; i < len; ++i)
+      out[i] = static_cast<std::uint8_t>(cells[i / 4] >> (24 - 8 * (i % 4)));
     return out;
   }
   std::uint64_t counter = 0;

@@ -116,8 +116,6 @@ const Sha256Kernel* resolve_active() noexcept {
     pick = &kPortable;
   else if (want == "shani")
     pick = shani;
-  else if (want == "avx512")
-    pick = avx512;
   else
     pick = avx512 != nullptr ? avx512 : shani;
   // A requested backend the build or CPU lacks degrades to portable: the

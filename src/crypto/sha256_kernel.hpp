@@ -10,7 +10,9 @@
 //     counter-mode pad per roster peer, one compression per 8 cells, tens
 //     of thousands of compressions per report. The eight state words after
 //     each compression are the next eight cells, so the fold never goes
-//     through bytes.
+//     through bytes. `sha256_expand` of a 32-byte seed (the OPRF's
+//     hash-to-group) folds into zeroed cells, so the pad block format
+//     lives here alone.
 //
 // Backends:
 //   * portable — scalar; the differential oracle for the others.
@@ -21,10 +23,10 @@
 //     when the CPU has it and the portable one otherwise (Skylake-SP and
 //     Cascade Lake have AVX-512F but no SHA-NI).
 //
-// `EYW_SHA256_KERNEL=portable|shani|avx512` forces a backend (read once);
-// an unavailable one degrades to portable. Any other value, or none, means
-// auto: avx512, then shani, then portable. Non-x86 builds have portable
-// only.
+// `EYW_SHA256_KERNEL=portable|shani` forces a backend (read once); SHA-NI
+// on a CPU without it degrades to portable. Any other value, or none,
+// means auto: avx512, then shani, then portable. Non-x86 builds have
+// portable only.
 //
 // `compress` contract: `state` is the eight working variables a..h;
 // `blocks` points at `count` contiguous 64-byte message blocks, with no

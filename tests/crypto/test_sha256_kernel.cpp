@@ -104,14 +104,15 @@ TEST(Sha256KernelGlue, FipsVectorsHoldOnActiveKernel) {
   EXPECT_EQ(0, std::memcmp(two.data(), want_two, 32));
 }
 
-// The expansion fast path (prepared padded block, raw compressions from
-// the IV) must produce exactly the incremental-API stream for every
-// length split, including non-multiple-of-32 tails.
+// Expansion of a 32-byte seed goes through the active kernel's pad_fold;
+// it must produce exactly the incremental-API stream for every length,
+// including tails that are not a multiple of 4 or 32 bytes.
 TEST(Sha256KernelGlue, ExpandFastPathMatchesIncrementalReference) {
   util::Rng rng(44);
   std::array<std::uint8_t, 32> seed;
   for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
-  for (const std::size_t len : {1u, 31u, 32u, 33u, 64u, 100u, 4096u}) {
+  for (const std::size_t len :
+       {0u, 1u, 3u, 31u, 32u, 33u, 64u, 100u, 144u, 4096u}) {
     const std::vector<std::uint8_t> fast = sha256_expand(seed, len);
     std::vector<std::uint8_t> want(len);
     std::uint64_t counter = 0;
@@ -204,8 +205,6 @@ TEST(Sha256KernelSelection, ActiveKernelRespectsEnvOverride) {
     EXPECT_EQ(name, "portable");
   } else if (want == "shani") {
     EXPECT_EQ(name, shani != nullptr ? "shani" : "portable");
-  } else if (want == "avx512") {
-    EXPECT_EQ(name, avx512 != nullptr ? "avx512" : "portable");
   } else {
     EXPECT_EQ(name, avx512 != nullptr  ? "avx512"
                     : shani != nullptr ? "shani"
@@ -214,8 +213,10 @@ TEST(Sha256KernelSelection, ActiveKernelRespectsEnvOverride) {
 }
 
 TEST(Sha256KernelSelection, Avx512RunsOnlyWhereTheOsSavesZmmState) {
-  // The probe checks XCR0 as well as the CPUID bit, so an active avx512
-  // kernel implies the OS saves opmask and ZMM state on this host.
+  // A host smoke check: an active avx512 kernel implies the OS saves
+  // opmask and ZMM state here. It cannot fail on a host whose OS saves
+  // that state, so it cannot catch a probe that skips XCR0; the verdict
+  // logic is pinned by CpuFeatures.XstateVerdictTable.
   if (std::string_view(active_sha256_kernel().name) == "avx512") {
     EXPECT_TRUE(util::os_saves_xstate(util::kXcr0Avx512));
   }

@@ -140,8 +140,10 @@ TEST(SketchKernelSelection, ActiveKernelRespectsEnvOverride) {
 }
 
 TEST(SketchKernelSelection, Avx2RunsOnlyWhereTheOsSavesYmmState) {
-  // The probe checks XCR0 as well as the CPUID bit, so an active avx2
-  // kernel implies the OS saves SSE and YMM state on this host.
+  // A host smoke check: an active avx2 kernel implies the OS saves SSE
+  // and YMM state here. It cannot fail on a host whose OS saves that
+  // state, so it cannot catch a probe that skips XCR0; the verdict logic
+  // is pinned by CpuFeatures.XstateVerdictTable.
   if (std::string_view(active_sketch_kernel().name) == "avx2") {
     EXPECT_TRUE(util::os_saves_xstate(util::kXcr0Avx));
   }
