@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
     }
 
     const server::RoundResult round = coordinator.run_full_round(week);
-    const core::UsersDistribution actual =
-        core::UsersDistribution::from_counts(exact.distribution());
+    const core::UsersDistribution actual = exact.distribution();
 
     const double act_th = actual.threshold(core::ThresholdRule::kMean);
     const double cms_th = round.users_threshold;

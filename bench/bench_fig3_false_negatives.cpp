@@ -32,7 +32,6 @@
 namespace {
 
 using eyw::analysis::DetectionOutcome;
-using eyw::core::DetectorConfig;
 using eyw::core::ThresholdRule;
 using eyw::sim::SimConfig;
 
@@ -164,27 +163,21 @@ int main(int argc, char** argv) {
       cfg.frequency_cap = cap;
       cfg.seed = base.seed + static_cast<std::uint64_t>(w) * 7919;
       const eyw::sim::SimResult sim = eyw::sim::simulate(cfg);
-      // One blinded round per world serves all three rules: the rule only
-      // picks the statistic read off the recovered distribution.
+      // One blinded round and one detection pass per world serve all three
+      // rules: the rule only picks the statistics read off the histograms.
       std::optional<eyw::core::UsersDistribution> wire;
       if (socket)
         wire = socket_users_distribution(sim, cfg.num_users, cfg.seed + cap);
+      const std::vector<DetectionOutcome> outcomes =
+          eyw::analysis::run_detection(sim, kRules, wire ? &*wire : nullptr);
       for (int r = 0; r < 3; ++r) {
-        DetectorConfig det;
-        det.domains_rule = kRules[r];
-        det.users_rule = kRules[r];
-        std::optional<double> wire_threshold;
-        if (wire) wire_threshold = wire->threshold(kRules[r]);
-        const DetectionOutcome outcome =
-            eyw::analysis::run_detection(sim, det, wire_threshold);
-        fn_acc[r] += outcome.confusion.false_negative_rate();
-        fp_acc[r] += outcome.confusion.false_positive_rate();
-        if (socket && r == 0) {
-          std::printf(
-              "  cap %-2u Users_th over socket: %.2f (oracle %.2f)\n", cap,
-              outcome.users_threshold,
-              outcome.users_distribution.threshold(kRules[r]));
-        }
+        fn_acc[r] += outcomes[r].confusion.false_negative_rate();
+        fp_acc[r] += outcomes[r].confusion.false_positive_rate();
+      }
+      if (socket) {
+        std::printf("  cap %-2u Users_th over socket: %.2f (oracle %.2f)\n",
+                    cap, outcomes[0].users_threshold,
+                    outcomes[0].users_distribution.threshold(kRules[0]));
       }
     }
     std::printf("%-5u", cap);

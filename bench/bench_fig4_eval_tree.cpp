@@ -32,8 +32,9 @@ int main() {
 
   sim::Engine engine(sim::World::build(cfg));
   const sim::SimResult sim = engine.run();
+  constexpr core::ThresholdRule kMean[] = {core::ThresholdRule::kMean};
   const analysis::DetectionOutcome detection =
-      analysis::run_detection(sim, core::DetectorConfig{});
+      analysis::run_detection(sim, kMean).front();
 
   // Content-based baseline: profile from the visit log. T is scaled to the
   // simulated catalog (the paper's T=20 is calibrated to the live web).

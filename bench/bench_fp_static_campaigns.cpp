@@ -13,7 +13,7 @@
 namespace {
 
 using eyw::analysis::DetectionOutcome;
-using eyw::core::DetectorConfig;
+using eyw::core::ThresholdRule;
 using eyw::sim::SimConfig;
 
 struct Scenario {
@@ -39,6 +39,7 @@ int main() {
       {0.050, 0.70, 8},  {0.050, 0.85, 8},  {0.050, 0.70, 12},
   };
   const std::uint64_t seeds[] = {11, 22, 33};
+  constexpr ThresholdRule kMean[] = {ThresholdRule::kMean};
 
   int cfg_id = 0;
   double worst_fp = 0.0;
@@ -52,7 +53,7 @@ int main() {
       cfg.seed = 77000 + seed;
       const eyw::sim::SimResult sim = eyw::sim::simulate(cfg);
       const DetectionOutcome outcome =
-          eyw::analysis::run_detection(sim, DetectorConfig{});
+          eyw::analysis::run_detection(sim, kMean).front();
       const double fp = 100.0 * outcome.confusion.false_positive_rate();
       worst_fp = std::max(worst_fp, fp);
       std::printf("%-4d %-8.3f %-8.2f %-10zu %-8llu %-9.2f %-9.1f %-10zu\n",

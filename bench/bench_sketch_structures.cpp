@@ -1,12 +1,12 @@
-// Sketch-structure ablation (DESIGN.md §6): count-min sketch vs spectral
-// bloom filter — update/query cost and, via counters, estimation error at
-// equal memory. The CMS is the structure the paper deploys because
-// cell-wise addition composes with additive blinding.
+// Sketch-structure ablation: count-min sketch vs spectral bloom filter —
+// update/query cost and, via counters, estimation error at equal memory.
+// The CMS is the structure the paper deploys because cell-wise addition
+// composes with additive blinding.
 //
 // `--json <path>` additionally writes the PR-over-PR trajectory rows:
 // scalar-vs-AVX2 ns/cell for the sketch kernels (merge, min-scan gather)
 // and the measured heap allocations per accepted submission on the
-// server's ingest path.
+// server's ingest path (docs/perf.md, "Zero-copy ingest + SIMD kernels").
 #include <benchmark/benchmark.h>
 
 #include <chrono>

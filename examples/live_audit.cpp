@@ -155,8 +155,11 @@ int main(int argc, char** argv) {
     const adnet::Ad* ad = engine.ad_server().find_ad(si.impression.ad);
     auto& ext = exts[si.impression.user];
     const double users = *backend.users_for(ext.ad_id(ad->landing_url));
-    const auto verdict =
-        ext.audit(ad->landing_url, users, round.users_threshold);
+    // Both thresholds come from one rule: Domains_th(u) is derived under
+    // the rule the back-end used for Users_th.
+    const auto verdict = ext.audit(ad->landing_url, users,
+                                   round.users_threshold,
+                                   backend.config().users_rule);
     const bool flagged = verdict == core::Verdict::kTargeted;
     auto& ts = stats[si.campaign_type];
     ++ts.audits;

@@ -111,7 +111,7 @@ int run_loopback_demo() {
   using namespace eyw::core;
 
   // The browser extension's local state: it records (ad, domain, day).
-  LocalDetector detector;  // Mean thresholds, 7-day window, min 4 domains
+  LocalDetector detector;  // 7-day window, min 4 domains
 
   // Ad 1001 follows the user across domains; ads 2000+ are one-off.
   detector.observe(/*ad=*/1001, /*domain=*/1, /*day=*/0);
@@ -129,13 +129,16 @@ int run_loopback_demo() {
   counter.record(1, 1001);
   for (UserId u = 0; u < 40; ++u) counter.record(u, 2000);  // popular ad
 
+  // Both thresholds under the paper's rule, the mean.
   const double users_th = 3.1;
+  const ThresholdRule rule = ThresholdRule::kMean;
   std::printf("Domains_th(u) = %.2f, ad-serving domains in window = %u\n",
-              detector.domains_threshold(), detector.ad_serving_domains());
+              detector.domains_threshold(rule),
+              detector.ad_serving_domains());
 
   for (const AdId ad : {AdId{1001}, AdId{2000}, AdId{2001}}) {
     const Verdict v = detector.classify(
-        ad, static_cast<double>(counter.users_for(ad)), users_th);
+        ad, static_cast<double>(counter.users_for(ad)), users_th, rule);
     std::printf("ad %llu: #Domains=%u #Users=%u -> %s\n",
                 static_cast<unsigned long long>(ad), detector.domains_for(ad),
                 counter.users_for(ad), to_string(v));

@@ -4,21 +4,21 @@
 
 namespace eyw::analysis {
 
-DetectionOutcome run_detection(const sim::SimResult& sim,
-                               const core::DetectorConfig& config,
-                               std::optional<double> users_threshold_override) {
-  DetectionOutcome out;
-
+std::vector<DetectionOutcome> run_detection(
+    const sim::SimResult& sim, std::span<const core::ThresholdRule> rules,
+    const core::UsersDistribution* served) {
   // Global pass: the #Users counters and threshold the back-end would
   // distribute (full-period counts; the deployed system refreshes them
   // weekly).
   core::GlobalUserCounter counter;
   for (const sim::SimImpression& si : sim.impressions)
     counter.record(si.impression.user, si.impression.ad);
-  out.users_distribution =
-      core::UsersDistribution::from_counts(counter.distribution());
-  out.users_threshold = users_threshold_override.value_or(
-      out.users_distribution.threshold(config.users_rule));
+  const core::UsersDistribution exact = counter.distribution();
+  std::vector<DetectionOutcome> out(rules.size());
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    out[r].users_distribution = exact;
+    out[r].users_threshold = (served ? *served : exact).threshold(rules[r]);
+  }
 
   // eyeWnder classifies in real time, when the user audits a just-rendered
   // ad. We model an audit of every (user, ad) pair at the moment of its
@@ -35,25 +35,24 @@ DetectionOutcome run_detection(const sim::SimResult& sim,
   std::map<core::UserId, core::LocalDetector> detectors;
   for (std::size_t i = 0; i < sim.impressions.size(); ++i) {
     const core::Impression& imp = sim.impressions[i].impression;
-    auto [it, inserted] = detectors.try_emplace(imp.user, config);
-    core::LocalDetector& det = it->second;
+    core::LocalDetector& det = detectors[imp.user];
     det.observe(imp.ad, imp.domain, imp.day);
     if (last_seen.find({imp.user, imp.ad})->second != i) continue;
 
-    PairVerdict pv;
-    pv.user = imp.user;
-    pv.ad = imp.ad;
-    pv.ground_truth_targeted = sim.is_targeted(imp.user, imp.ad);
-    pv.verdict =
-        det.classify(imp.ad, static_cast<double>(counter.users_for(imp.ad)),
-                     out.users_threshold);
-    if (pv.verdict == core::Verdict::kInsufficientData) {
-      ++out.confusion.abstained;
-    } else {
-      out.confusion.add(pv.verdict == core::Verdict::kTargeted,
-                        pv.ground_truth_targeted);
+    const double users = counter.users_for(imp.ad);
+    const bool truth = sim.is_targeted(imp.user, imp.ad);
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      const core::Verdict verdict =
+          det.classify(imp.ad, users, out[r].users_threshold, rules[r]);
+      if (verdict == core::Verdict::kInsufficientData)
+        ++out[r].confusion.abstained;
+      else
+        out[r].confusion.add(verdict == core::Verdict::kTargeted, truth);
+      out[r].verdicts.push_back({.user = imp.user,
+                                 .ad = imp.ad,
+                                 .verdict = verdict,
+                                 .ground_truth_targeted = truth});
     }
-    out.verdicts.push_back(pv);
   }
   return out;
 }

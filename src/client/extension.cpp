@@ -40,12 +40,13 @@ void BrowserExtension::start_new_period() { period_ads_.clear(); }
 
 core::Verdict BrowserExtension::audit(std::string_view identity,
                                       double users_count,
-                                      double users_threshold) {
+                                      double users_threshold,
+                                      core::ThresholdRule rule) {
   // An audit of a never-observed ad maps it (cache miss) and classifies
   // against empty detector state, which yields kNonTargeted /
   // kInsufficientData — the right answer for an ad this user never saw.
   const std::uint64_t id = mapper_.map(identity);
-  return detector_.classify(id, users_count, users_threshold);
+  return detector_.classify(id, users_count, users_threshold, rule);
 }
 
 }  // namespace eyw::client

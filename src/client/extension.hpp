@@ -49,10 +49,12 @@ class BrowserExtension {
   void start_new_period();
 
   /// Real-time audit of an ad (Section 4.1 classification): the global
-  /// inputs arrive from the back-end.
+  /// inputs arrive from the back-end, which derived `users_threshold`
+  /// under `rule`; Domains_th(u) is derived under the same rule.
   [[nodiscard]] core::Verdict audit(std::string_view identity,
                                     double users_count,
-                                    double users_threshold);
+                                    double users_threshold,
+                                    core::ThresholdRule rule);
 
   /// Ad id this extension uses for an identity (maps through the cache).
   [[nodiscard]] std::uint64_t ad_id(std::string_view identity);

@@ -17,19 +17,10 @@ std::uint32_t GlobalUserCounter::users_for(AdId ad) const noexcept {
                               : static_cast<std::uint32_t>(it->second.size());
 }
 
-std::vector<double> GlobalUserCounter::distribution() const {
-  std::vector<double> out;
-  out.reserve(seen_by_.size());
-  for (const auto& [ad, users] : seen_by_)
-    out.push_back(static_cast<double>(users.size()));
-  return out;
-}
-
-UsersDistribution UsersDistribution::from_counts(
-    std::span<const double> counts) {
+UsersDistribution GlobalUserCounter::distribution() const {
   UsersTally tally;
-  for (double c : counts)
-    if (c >= 1.0) tally.add(static_cast<std::uint32_t>(c));
+  for (const auto& [ad, users] : seen_by_)
+    tally.add(static_cast<std::uint32_t>(users.size()));
   return tally.finish();
 }
 

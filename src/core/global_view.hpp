@@ -12,13 +12,14 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "core/thresholds.hpp"
 #include "core/types.hpp"
 
 namespace eyw::core {
+
+class UsersDistribution;
 
 /// Exact distinct-user counting (evaluation oracle; the deployed system
 /// replaces this with the privacy-preserving CMS pipeline).
@@ -30,8 +31,8 @@ class GlobalUserCounter {
   /// #Users(a): distinct users that saw the ad.
   [[nodiscard]] std::uint32_t users_for(AdId ad) const noexcept;
 
-  /// One entry per distinct ad.
-  [[nodiscard]] std::vector<double> distribution() const;
+  /// The exact #Users distribution, every recorded ad counted once.
+  [[nodiscard]] UsersDistribution distribution() const;
 
   [[nodiscard]] std::size_t distinct_ads() const noexcept {
     return seen_by_.size();
@@ -50,12 +51,6 @@ class GlobalUserCounter {
 class UsersDistribution {
  public:
   UsersDistribution() = default;
-
-  /// Build from per-ad distinct-user counts (exact or CMS-estimated; whole
-  /// numbers below 2^32). Zero counts are excluded: an ad nobody saw is
-  /// not an ad.
-  [[nodiscard]] static UsersDistribution from_counts(
-      std::span<const double> counts);
 
   /// Adopt a finished histogram. Throws std::invalid_argument unless the
   /// values are strictly ascending and >= 1 and every weight is >= 1.
@@ -85,8 +80,9 @@ class UsersDistribution {
 };
 
 /// Open-addressing value -> weight table that folds #Users values into a
-/// histogram in time linear in the values added. The one histogram
-/// builder: from_counts and the server's finalize scan both use it.
+/// histogram in time linear in the values added. Every #Users histogram
+/// is tallied here: GlobalUserCounter::distribution and the server's
+/// finalize scan both use it.
 class UsersTally {
  public:
   /// Room for `expected` distinct values before the table first grows.

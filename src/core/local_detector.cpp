@@ -13,7 +13,10 @@ void LocalDetector::observe(AdId ad, DomainId domain, Day day) {
   if (day < today_)
     throw std::invalid_argument("LocalDetector::observe: day went backwards");
   advance_to(day);
-  seen_[ad][domain] = day;
+  auto& domains = seen_[ad];
+  const std::size_t before = domains.size();
+  domains[domain] = day;
+  rebin(before, domains.size());
   visited_domains_[domain] = day;
 }
 
@@ -25,26 +28,35 @@ void LocalDetector::advance_to(Day today) {
 }
 
 void LocalDetector::expire() noexcept {
-  const Day cutoff = window_start();
+  const Day start = today_ + 1 >= config_.window_days
+                        ? today_ + 1 - config_.window_days
+                        : 0;
+  // Days never decrease, so nothing can have fallen out of an unmoved
+  // window.
+  if (start == window_start_) return;
+  window_start_ = start;
+  const auto expired = [this](const auto& entry) {
+    return entry.second < window_start_;
+  };
   for (auto ad_it = seen_.begin(); ad_it != seen_.end();) {
     auto& domains = ad_it->second;
-    for (auto d_it = domains.begin(); d_it != domains.end();) {
-      if (d_it->second < cutoff)
-        d_it = domains.erase(d_it);
-      else
-        ++d_it;
-    }
+    const std::size_t before = domains.size();
+    std::erase_if(domains, expired);
+    rebin(before, domains.size());
     if (domains.empty())
       ad_it = seen_.erase(ad_it);
     else
       ++ad_it;
   }
-  for (auto it = visited_domains_.begin(); it != visited_domains_.end();) {
-    if (it->second < cutoff)
-      it = visited_domains_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(visited_domains_, expired);
+}
+
+void LocalDetector::rebin(std::size_t from, std::size_t to) {
+  if (from == to) return;
+  if (from > 0) --domains_histogram_[from - 1].weight;
+  if (to > domains_histogram_.size())
+    domains_histogram_.push_back({.value = static_cast<std::uint32_t>(to)});
+  if (to > 0) ++domains_histogram_[to - 1].weight;
 }
 
 std::uint32_t LocalDetector::domains_for(AdId ad) const noexcept {
@@ -60,27 +72,20 @@ bool LocalDetector::has_sufficient_data() const noexcept {
   return ad_serving_domains() >= config_.min_ad_serving_domains;
 }
 
-std::vector<double> LocalDetector::domain_count_distribution() const {
-  std::vector<double> out;
-  out.reserve(seen_.size());
-  for (const auto& [ad, domains] : seen_)
-    out.push_back(static_cast<double>(domains.size()));
-  return out;
-}
-
-double LocalDetector::domains_threshold() const {
-  return estimate_threshold(domain_count_distribution(), config_.domains_rule);
+double LocalDetector::domains_threshold(ThresholdRule rule) const {
+  return estimate_threshold(domains_histogram_, rule);
 }
 
 Verdict LocalDetector::classify(AdId ad, double users_count,
-                                double users_threshold) const {
+                                double users_threshold,
+                                ThresholdRule rule) const {
   if (!has_sufficient_data()) return Verdict::kInsufficientData;
   const double domains = domains_for(ad);
   // Strict inequalities: the paper labels an ad targeted when #Domains
   // "crosses" the threshold and #Users is "below" the threshold. The strict
   // forms also make the degenerate all-ads-single-domain window (threshold
   // exactly 1) behave correctly: one sighting is never "following".
-  const bool follows_user = domains > domains_threshold();
+  const bool follows_user = domains > domains_threshold(rule);
   const bool seen_by_few = users_count < users_threshold;
   return follows_user && seen_by_few ? Verdict::kTargeted
                                      : Verdict::kNonTargeted;

@@ -6,8 +6,13 @@
 //   * the set of ad-serving domains the user visited (min-data rule),
 //   * Domains_th(u) — the threshold derived from this user's own per-ad
 //     domain-count distribution (Section 4.2; per-user, updated locally in
-//     real time).
+//     real time). The distribution is kept as a histogram that changes only
+//     where an (ad, domain) pair enters or leaves the window, and the
+//     threshold is read off it by the routine the server applies to the
+//     #Users histogram.
 // The global inputs (#Users(a), Users_th) arrive from the back-end server.
+// The threshold rule is an argument of classification, not detector state:
+// the same window answers every rule.
 #pragma once
 
 #include <map>
@@ -19,8 +24,6 @@
 namespace eyw::core {
 
 struct DetectorConfig {
-  ThresholdRule domains_rule = ThresholdRule::kMean;
-  ThresholdRule users_rule = ThresholdRule::kMean;
   /// Minimum ad-serving domains visited within the window before the
   /// algorithm makes any guess (paper: 4 within the last 7 days).
   std::uint32_t min_ad_serving_domains = 4;
@@ -48,19 +51,17 @@ class LocalDetector {
   /// True when the min-data rule is satisfied.
   [[nodiscard]] bool has_sufficient_data() const noexcept;
 
-  /// The per-ad domain-count distribution this user's threshold is built
-  /// from (one entry per distinct ad in the window).
-  [[nodiscard]] std::vector<double> domain_count_distribution() const;
-
-  /// Domains_th(u) under the configured rule.
-  [[nodiscard]] double domains_threshold() const;
+  /// Domains_th(u) under `rule`, over the ads in the window.
+  [[nodiscard]] double domains_threshold(ThresholdRule rule) const;
 
   /// Full classification: targeted iff
   ///   #Domains(u, a) > Domains_th(u)  AND  users_count < users_threshold.
   /// `users_count` is the (possibly CMS-estimated) #Users(a) distributed by
-  /// the back-end; `users_threshold` is the global Users_th.
+  /// the back-end; `users_threshold` is the global Users_th, which the
+  /// back-end derived under the same `rule`.
   [[nodiscard]] Verdict classify(AdId ad, double users_count,
-                                 double users_threshold) const;
+                                 double users_threshold,
+                                 ThresholdRule rule) const;
 
   /// Ads currently inside the window.
   [[nodiscard]] std::vector<AdId> ads_in_window() const;
@@ -70,18 +71,22 @@ class LocalDetector {
 
  private:
   void expire() noexcept;
-  [[nodiscard]] Day window_start() const noexcept {
-    return today_ + 1 >= config_.window_days ? today_ + 1 - config_.window_days
-                                             : 0;
-  }
+  /// Move one ad from the bin of `from` domains to the bin of `to`
+  /// (0: no bin, the ad is not in the window).
+  void rebin(std::size_t from, std::size_t to);
 
   DetectorConfig config_;
   Day today_ = 0;
+  // First day inside the window as of the last expiry scan.
+  Day window_start_ = 0;
   // ad -> (domain -> last day the pair was seen). Entries expire when their
   // last sighting leaves the window.
   std::map<AdId, std::map<DomainId, Day>> seen_;
   // domain -> last day this user visited it (ad-serving domains only).
   std::map<DomainId, Day> visited_domains_;
+  // The #Domains histogram, dense: bin k-1 holds the ads of seen_ with k
+  // domains, and may weigh 0.
+  std::vector<UsersBin> domains_histogram_;
 };
 
 }  // namespace eyw::core

@@ -2,32 +2,12 @@
 
 #include <cmath>
 
-#include "util/stats.hpp"
-
 namespace eyw::core {
 
 namespace {
 
-/// The rules themselves, shared by both overloads. Median and stddev are
-/// computed only by the rules that use them.
-template <typename Median, typename Stddev>
-double apply_rule(ThresholdRule rule, double mean, Median median,
-                  Stddev stddev) {
-  switch (rule) {
-    case ThresholdRule::kMean:
-      return mean;
-    case ThresholdRule::kMedian:
-      return median();
-    case ThresholdRule::kMeanPlusMedian:
-      return mean + median();
-    case ThresholdRule::kMeanPlusStddev:
-      return mean + stddev();
-  }
-  return 0.0;
-}
-
 /// The value at 0-based position `rank` (< the weight sum) of the
-/// expanded, sorted sample.
+/// expanded, sorted sample. Zero-weight bins fall through the loop.
 double value_at(std::span<const UsersBin> bins, std::uint64_t rank) {
   auto it = bins.begin();
   while (rank >= it->weight) rank -= (it++)->weight;
@@ -35,15 +15,6 @@ double value_at(std::span<const UsersBin> bins, std::uint64_t rank) {
 }
 
 }  // namespace
-
-double estimate_threshold(std::span<const double> distribution,
-                          ThresholdRule rule) {
-  if (distribution.empty()) return 0.0;
-  return apply_rule(
-      rule, util::mean(distribution),
-      [&] { return util::median(distribution); },
-      [&] { return util::stddev(distribution); });
-}
 
 double estimate_threshold(std::span<const UsersBin> bins, ThresholdRule rule) {
   std::uint64_t n = 0;
@@ -68,8 +39,18 @@ double estimate_threshold(std::span<const UsersBin> bins, ThresholdRule rule) {
     }
     return static_cast<double>(std::sqrt(acc / (n - 1)));
   };
-  return apply_rule(rule, static_cast<double>(sum) / static_cast<double>(n),
-                    median, stddev);
+  const double mean = static_cast<double>(sum) / static_cast<double>(n);
+  switch (rule) {
+    case ThresholdRule::kMean:
+      return mean;
+    case ThresholdRule::kMedian:
+      return median();
+    case ThresholdRule::kMeanPlusMedian:
+      return mean + median();
+    case ThresholdRule::kMeanPlusStddev:
+      return mean + stddev();
+  }
+  return 0.0;
 }
 
 }  // namespace eyw::core

@@ -16,15 +16,14 @@ struct UsersBin {
   bool operator==(const UsersBin&) const = default;
 };
 
-/// Apply a ThresholdRule to a sample. Returns 0 for an empty sample.
-[[nodiscard]] double estimate_threshold(std::span<const double> distribution,
-                                        ThresholdRule rule);
-
 /// Apply a ThresholdRule to the sample a histogram stands for: `bins`
-/// ascending by value, weights summing below 2^64. Mean and median are
-/// exact over the integer histogram, so they equal the sample overload on
-/// the expanded sample whenever its sum is below 2^53; the stddev term is
-/// accurate to a few ulp. Returns 0 for an empty histogram.
+/// ascending by value, weights summing below 2^64. Both of the paper's
+/// thresholds come from here: Users_th off the #Users histogram and
+/// Domains_th(u) off the detector's #Domains histogram. A bin of weight 0
+/// stands for no ads and is skipped, wherever it sits, so a dense
+/// histogram gives the thresholds of its non-zero bins. Mean and median
+/// are exact over the integer histogram; the stddev term is accurate to a
+/// few ulp. Returns 0 when the weights sum to 0.
 [[nodiscard]] double estimate_threshold(std::span<const UsersBin> bins,
                                         ThresholdRule rule);
 

@@ -11,6 +11,8 @@
 namespace eyw::client {
 namespace {
 
+constexpr core::ThresholdRule kMean = core::ThresholdRule::kMean;
+
 const crypto::OprfServer& oprf_server() {
   static const crypto::OprfServer s = [] {
     util::Rng rng(31337);
@@ -162,13 +164,13 @@ TEST(BrowserExtension, AuditMatchesDetectorRule) {
   ext.observe_ad("https://follow.test", 3, 1);
   ext.observe_ad("https://oneoff.test", 4, 1);
   // follow.test: 3 domains >= threshold ((3+1)/2 = 2); few users.
-  EXPECT_EQ(ext.audit("https://follow.test", 1.0, 2.5),
+  EXPECT_EQ(ext.audit("https://follow.test", 1.0, 2.5, kMean),
             core::Verdict::kTargeted);
   // Seen by too many users: rejected.
-  EXPECT_EQ(ext.audit("https://follow.test", 50.0, 2.5),
+  EXPECT_EQ(ext.audit("https://follow.test", 50.0, 2.5, kMean),
             core::Verdict::kNonTargeted);
   // Not following: rejected.
-  EXPECT_EQ(ext.audit("https://oneoff.test", 1.0, 2.5),
+  EXPECT_EQ(ext.audit("https://oneoff.test", 1.0, 2.5, kMean),
             core::Verdict::kNonTargeted);
 }
 
@@ -176,7 +178,7 @@ TEST(BrowserExtension, AuditAbstainsWithoutMinData) {
   HashUrlMapper mapper(10'000);
   BrowserExtension ext(1, test_config(), mapper);
   ext.observe_ad("https://a.test", 1, 0);
-  EXPECT_EQ(ext.audit("https://a.test", 1.0, 5.0),
+  EXPECT_EQ(ext.audit("https://a.test", 1.0, 5.0, kMean),
             core::Verdict::kInsufficientData);
 }
 

@@ -2,6 +2,9 @@
 // any random impression stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/global_view.hpp"
 #include "core/local_detector.hpp"
 #include "util/rng.hpp"
@@ -38,11 +41,15 @@ TEST_P(DetectorProperties, ThresholdWithinDistributionRange) {
   for (int i = 0; i < 300; ++i) {
     det.observe(rng.below(30), static_cast<DomainId>(rng.below(12)), 0);
   }
-  const auto dist = det.domain_count_distribution();
+  std::vector<std::uint32_t> dist;
+  for (const AdId ad : det.ads_in_window()) dist.push_back(det.domains_for(ad));
   ASSERT_FALSE(dist.empty());
-  const double th = det.domains_threshold();
-  EXPECT_GE(th, *std::min_element(dist.begin(), dist.end()));
-  EXPECT_LE(th, *std::max_element(dist.begin(), dist.end()));
+  for (const ThresholdRule rule :
+       {ThresholdRule::kMean, ThresholdRule::kMedian}) {
+    const double th = det.domains_threshold(rule);
+    EXPECT_GE(th, *std::min_element(dist.begin(), dist.end()));
+    EXPECT_LE(th, *std::max_element(dist.begin(), dist.end()));
+  }
 }
 
 TEST_P(DetectorProperties, VerdictMonotoneInUsersCount) {
@@ -56,7 +63,9 @@ TEST_P(DetectorProperties, VerdictMonotoneInUsersCount) {
   for (AdId ad = 0; ad < 25; ++ad) {
     bool was_targeted = true;
     for (double users = 1; users <= 10; ++users) {
-      const bool targeted = det.classify(ad, users, th) == Verdict::kTargeted;
+      const bool targeted =
+          det.classify(ad, users, th, ThresholdRule::kMean) ==
+          Verdict::kTargeted;
       if (!was_targeted) {
         EXPECT_FALSE(targeted);
       }

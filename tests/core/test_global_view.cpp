@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "../oracle/sample_detector.hpp"
 #include "core/thresholds.hpp"
 
 namespace eyw::core {
@@ -26,11 +27,12 @@ TEST(GlobalUserCounter, DistributionHasOneEntryPerAd) {
   c.record(1, 100);
   c.record(2, 100);
   c.record(1, 200);
-  const auto dist = c.distribution();
+  const UsersDistribution dist = c.distribution();
   ASSERT_EQ(dist.size(), 2u);
-  // map order: ad 100 first.
-  EXPECT_DOUBLE_EQ(dist[0], 2.0);
-  EXPECT_DOUBLE_EQ(dist[1], 1.0);
+  // Ad 200 seen by one user, ad 100 by two.
+  EXPECT_EQ(dist.histogram(),
+            (std::vector<UsersBin>{{.value = 1, .weight = 1},
+                                   {.value = 2, .weight = 1}}));
 }
 
 TEST(GlobalUserCounter, ClearResets) {
@@ -41,30 +43,25 @@ TEST(GlobalUserCounter, ClearResets) {
   EXPECT_EQ(c.users_for(100), 0u);
 }
 
-TEST(UsersDistribution, ThresholdIsMeanOfCounts) {
-  const std::vector<double> counts{1, 2, 3, 4};
-  const auto d = UsersDistribution::from_counts(counts);
-  EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 2.5);
+/// The distribution of per-ad #Users counts, tallied one ad at a time.
+UsersDistribution tallied(const std::vector<std::uint32_t>& counts) {
+  UsersTally tally;
+  for (const std::uint32_t c : counts) tally.add(c);
+  return tally.finish();
 }
 
-TEST(UsersDistribution, ZeroCountsExcluded) {
-  // CMS queries over the over-provisioned id space return 0 for ids that
-  // map to no real ad; those must not drag the threshold down.
-  const std::vector<double> counts{0, 0, 2, 4, 0};
-  const auto d = UsersDistribution::from_counts(counts);
-  EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 3.0);
-  EXPECT_EQ(d.size(), 2u);
+TEST(UsersDistribution, ThresholdIsMeanOfCounts) {
+  EXPECT_DOUBLE_EQ(tallied({1, 2, 3, 4}).threshold(ThresholdRule::kMean), 2.5);
 }
 
 TEST(UsersDistribution, EmptyIsSafe) {
-  const auto d = UsersDistribution::from_counts(std::vector<double>{});
+  const UsersDistribution d = GlobalUserCounter{}.distribution();
   EXPECT_TRUE(d.empty());
   EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 0.0);
 }
 
 TEST(UsersDistribution, HistogramMatchesCounts) {
-  const std::vector<double> counts{3, 2, 2};
-  const auto d = UsersDistribution::from_counts(counts);
+  const auto d = tallied({3, 2, 2});
   EXPECT_EQ(d.histogram(), (std::vector<UsersBin>{{.value = 2, .weight = 2},
                                                    {.value = 3, .weight = 1}}));
   EXPECT_EQ(d.size(), 3u);
@@ -105,33 +102,34 @@ TEST(UsersDistribution, FromBinsRefusesMalformedHistograms) {
 }
 
 TEST(UsersDistribution, ThresholdsMatchTheExpandedSample) {
-  // Mean and median from the histogram equal estimate_threshold over the
+  // Mean and median from the histogram equal the sample oracle over the
   // expanded sample bit for bit; the stddev term agrees to a few ulp.
-  const std::vector<double> counts{7, 1, 3, 3, 9, 1, 1, 4, 3, 12, 2};
-  const auto d = UsersDistribution::from_counts(counts);
-  std::vector<double> even(counts.begin(), counts.end() - 1);
-  const auto d_even = UsersDistribution::from_counts(even);
+  const std::vector<std::uint32_t> odd{7, 1, 3, 3, 9, 1, 1, 4, 3, 12, 2};
+  const std::vector<std::uint32_t> even(odd.begin(), odd.end() - 1);
+  const auto d = tallied(odd);
+  const auto d_even = tallied(even);
+  const std::vector<double> counts(odd.begin(), odd.end());
+  const std::vector<double> even_counts(even.begin(), even.end());
   for (const ThresholdRule rule :
        {ThresholdRule::kMean, ThresholdRule::kMedian,
         ThresholdRule::kMeanPlusMedian}) {
-    EXPECT_EQ(d.threshold(rule), estimate_threshold(counts, rule));
-    EXPECT_EQ(d_even.threshold(rule), estimate_threshold(even, rule));
+    EXPECT_EQ(d.threshold(rule), oracle::sample_threshold(counts, rule));
+    EXPECT_EQ(d_even.threshold(rule),
+              oracle::sample_threshold(even_counts, rule));
   }
   EXPECT_NEAR(d.threshold(ThresholdRule::kMeanPlusStddev),
-              estimate_threshold(counts, ThresholdRule::kMeanPlusStddev),
+              oracle::sample_threshold(counts, ThresholdRule::kMeanPlusStddev),
               1e-12);
 }
 
 TEST(UsersDistribution, MedianAndMeanRulesDiffer) {
-  const std::vector<double> counts{1, 1, 1, 1, 16};
-  const auto d = UsersDistribution::from_counts(counts);
+  const auto d = tallied({1, 1, 1, 1, 16});
   EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMedian), 1.0);
   EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 4.0);
 }
 
 TEST(UsersDistribution, PdfIsWeightShare) {
-  const auto d =
-      UsersDistribution::from_counts(std::vector<double>{1, 1, 1, 4});
+  const auto d = tallied({1, 1, 1, 4});
   EXPECT_DOUBLE_EQ(d.pdf(1), 0.75);
   EXPECT_DOUBLE_EQ(d.pdf(4), 0.25);
   EXPECT_DOUBLE_EQ(d.pdf(2), 0.0);
@@ -165,8 +163,7 @@ TEST(UsersDistribution, EndToEndWithCounter) {
   c.record(2, 1);
   c.record(3, 1);
   c.record(1, 2);
-  const auto d = UsersDistribution::from_counts(c.distribution());
-  EXPECT_DOUBLE_EQ(d.threshold(ThresholdRule::kMean), 2.0);
+  EXPECT_DOUBLE_EQ(c.distribution().threshold(ThresholdRule::kMean), 2.0);
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(LocalDetector, MinDataRuleAtFourDomains) {
 TEST(LocalDetector, InsufficientDataVerdict) {
   LocalDetector d;
   d.observe(1, 10, 0);
-  EXPECT_EQ(d.classify(1, /*users=*/1, /*users_th=*/5),
+  EXPECT_EQ(d.classify(1, /*users=*/1, /*users_th=*/5, ThresholdRule::kMean),
             Verdict::kInsufficientData);
 }
 
@@ -93,7 +93,7 @@ TEST(LocalDetector, DomainThresholdIsMeanByDefault) {
   d.observe(1, 11, 0);
   d.observe(1, 12, 0);
   d.observe(2, 13, 0);
-  EXPECT_DOUBLE_EQ(d.domains_threshold(), 2.0);
+  EXPECT_DOUBLE_EQ(d.domains_threshold(ThresholdRule::kMean), 2.0);
 }
 
 TEST(LocalDetector, ClassifyTargetedWhenBothConditionsHold) {
@@ -103,7 +103,7 @@ TEST(LocalDetector, ClassifyTargetedWhenBothConditionsHold) {
   d.observe(1, 12, 0);
   d.observe(2, 13, 0);  // distribution {3,1}: threshold 2
   // Ad 1: 3 domains >= 2, and seen by few users (1 <= 2.5).
-  EXPECT_EQ(d.classify(1, 1, 2.5), Verdict::kTargeted);
+  EXPECT_EQ(d.classify(1, 1, 2.5, ThresholdRule::kMean), Verdict::kTargeted);
 }
 
 TEST(LocalDetector, ClassifyNonTargetedWhenSeenByMany) {
@@ -113,7 +113,8 @@ TEST(LocalDetector, ClassifyNonTargetedWhenSeenByMany) {
   d.observe(1, 12, 0);
   d.observe(2, 13, 0);
   // Popular ad: users 50 > threshold 2.5.
-  EXPECT_EQ(d.classify(1, 50, 2.5), Verdict::kNonTargeted);
+  EXPECT_EQ(d.classify(1, 50, 2.5, ThresholdRule::kMean),
+            Verdict::kNonTargeted);
 }
 
 TEST(LocalDetector, ClassifyNonTargetedWhenNotFollowing) {
@@ -123,7 +124,7 @@ TEST(LocalDetector, ClassifyNonTargetedWhenNotFollowing) {
   d.observe(1, 12, 0);
   d.observe(2, 13, 0);
   // Ad 2 appears on 1 domain < threshold 2: not "following" the user.
-  EXPECT_EQ(d.classify(2, 1, 2.5), Verdict::kNonTargeted);
+  EXPECT_EQ(d.classify(2, 1, 2.5, ThresholdRule::kMean), Verdict::kNonTargeted);
 }
 
 TEST(LocalDetector, UnseenAdNeverTargeted) {
@@ -132,7 +133,8 @@ TEST(LocalDetector, UnseenAdNeverTargeted) {
   d.observe(2, 11, 0);
   d.observe(3, 12, 0);
   d.observe(4, 13, 0);
-  EXPECT_EQ(d.classify(/*ad=*/999, 0, 10), Verdict::kNonTargeted);
+  EXPECT_EQ(d.classify(/*ad=*/999, 0, 10, ThresholdRule::kMean),
+            Verdict::kNonTargeted);
 }
 
 TEST(LocalDetector, ConfigurableMinDomains) {
@@ -167,14 +169,16 @@ TEST(LocalDetector, AdsInWindowListsLiveAds) {
 }
 
 TEST(LocalDetector, MeanPlusMedianRuleRaisesBar) {
-  const DetectorConfig strict{.domains_rule = ThresholdRule::kMeanPlusMedian};
-  LocalDetector d(strict);
+  LocalDetector d;
   d.observe(1, 10, 0);
   d.observe(1, 11, 0);
   d.observe(1, 12, 0);
   d.observe(2, 13, 0);
-  // Distribution {3, 1}: mean 2 + median 2 = 4 > 3 domains: not targeted.
-  EXPECT_EQ(d.classify(1, 1, 2.5), Verdict::kNonTargeted);
+  // Distribution {3, 1}: mean 2 + median 2 = 4 > 3 domains: not targeted,
+  // though the same window under the mean rule says targeted.
+  EXPECT_EQ(d.classify(1, 1, 2.5, ThresholdRule::kMeanPlusMedian),
+            Verdict::kNonTargeted);
+  EXPECT_EQ(d.classify(1, 1, 2.5, ThresholdRule::kMean), Verdict::kTargeted);
 }
 
 }  // namespace

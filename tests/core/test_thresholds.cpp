@@ -1,5 +1,6 @@
 #include "core/thresholds.hpp"
 
+#include "../oracle/sample_detector.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -7,36 +8,41 @@
 namespace eyw::core {
 namespace {
 
-const std::vector<double> kDist{1, 2, 2, 3, 4, 6};
+constexpr ThresholdRule kRules[] = {
+    ThresholdRule::kMean, ThresholdRule::kMedian,
+    ThresholdRule::kMeanPlusMedian, ThresholdRule::kMeanPlusStddev};
+
+// The sample {1, 2, 2, 3, 4, 6} as (value, weight) bins.
+const std::vector<UsersBin> kBins{
+    {.value = 1, .weight = 1}, {.value = 2, .weight = 2},
+    {.value = 3, .weight = 1}, {.value = 4, .weight = 1},
+    {.value = 6, .weight = 1}};
 
 TEST(Thresholds, Mean) {
-  EXPECT_DOUBLE_EQ(estimate_threshold(kDist, ThresholdRule::kMean), 3.0);
+  EXPECT_DOUBLE_EQ(estimate_threshold(kBins, ThresholdRule::kMean), 3.0);
 }
 
 TEST(Thresholds, Median) {
-  EXPECT_DOUBLE_EQ(estimate_threshold(kDist, ThresholdRule::kMedian), 2.5);
+  EXPECT_DOUBLE_EQ(estimate_threshold(kBins, ThresholdRule::kMedian), 2.5);
 }
 
 TEST(Thresholds, MeanPlusMedian) {
   EXPECT_DOUBLE_EQ(
-      estimate_threshold(kDist, ThresholdRule::kMeanPlusMedian), 5.5);
+      estimate_threshold(kBins, ThresholdRule::kMeanPlusMedian), 5.5);
 }
 
 TEST(Thresholds, MeanPlusStddevAboveMean) {
-  const double t = estimate_threshold(kDist, ThresholdRule::kMeanPlusStddev);
+  const double t = estimate_threshold(kBins, ThresholdRule::kMeanPlusStddev);
   EXPECT_GT(t, 3.0);
 }
 
 TEST(Thresholds, EmptyDistributionIsZero) {
-  for (const auto rule :
-       {ThresholdRule::kMean, ThresholdRule::kMedian,
-        ThresholdRule::kMeanPlusMedian, ThresholdRule::kMeanPlusStddev}) {
-    EXPECT_DOUBLE_EQ(estimate_threshold(std::vector<double>{}, rule), 0.0);
-  }
+  for (const auto rule : kRules)
+    EXPECT_DOUBLE_EQ(estimate_threshold(std::vector<UsersBin>{}, rule), 0.0);
 }
 
 TEST(Thresholds, SingleElement) {
-  const std::vector<double> one{5.0};
+  const std::vector<UsersBin> one{{.value = 5, .weight = 1}};
   EXPECT_DOUBLE_EQ(estimate_threshold(one, ThresholdRule::kMean), 5.0);
   EXPECT_DOUBLE_EQ(estimate_threshold(one, ThresholdRule::kMedian), 5.0);
   EXPECT_DOUBLE_EQ(estimate_threshold(one, ThresholdRule::kMeanPlusMedian),
@@ -46,22 +52,47 @@ TEST(Thresholds, SingleElement) {
 }
 
 TEST(Thresholds, HistogramAgreesWithTheExpandedSample) {
-  // kDist as (value, weight) bins: one rule, two representations.
-  const std::vector<UsersBin> bins{
-      {.value = 1, .weight = 1}, {.value = 2, .weight = 2},
-      {.value = 3, .weight = 1}, {.value = 4, .weight = 1},
-      {.value = 6, .weight = 1}};
-  for (const auto rule :
-       {ThresholdRule::kMean, ThresholdRule::kMedian,
-        ThresholdRule::kMeanPlusMedian}) {
-    EXPECT_EQ(estimate_threshold(bins, rule), estimate_threshold(kDist, rule))
-        << to_string(rule);
+  // One rule, two representations: each histogram against the sample
+  // oracle on its expansion. Zero-weight bins stand for no ads, wherever
+  // they sit (between, before or after the others): the detector's dense
+  // #Domains histogram holds them for counts no ad has at the moment.
+  const std::vector<UsersBin> layouts[] = {
+      kBins,
+      {{.value = 1, .weight = 1}, {.value = 2, .weight = 2},
+       {.value = 3, .weight = 1}, {.value = 4, .weight = 1},
+       {.value = 5, .weight = 0}, {.value = 6, .weight = 1}},
+      {{.value = 1, .weight = 0}, {.value = 2, .weight = 0},
+       {.value = 3, .weight = 0}, {.value = 4, .weight = 0},
+       {.value = 5, .weight = 0}, {.value = 6, .weight = 0},
+       {.value = 7, .weight = 1}, {.value = 8, .weight = 2},
+       {.value = 9, .weight = 1}, {.value = 10, .weight = 1},
+       {.value = 12, .weight = 1}},
+      {{.value = 1, .weight = 1}, {.value = 2, .weight = 2},
+       {.value = 3, .weight = 1}, {.value = 4, .weight = 1},
+       {.value = 6, .weight = 1}, {.value = 7, .weight = 0},
+       {.value = 8, .weight = 0}}};
+  for (const std::vector<UsersBin>& bins : layouts) {
+    std::vector<UsersBin> packed;
+    std::vector<double> sample;
+    for (const UsersBin& b : bins) {
+      if (b.weight != 0) packed.push_back(b);
+      sample.insert(sample.end(), b.weight, b.value);
+    }
+    for (const auto rule : kRules) {
+      SCOPED_TRACE(to_string(rule));
+      const double t = estimate_threshold(bins, rule);
+      EXPECT_EQ(t, estimate_threshold(packed, rule));
+      if (rule == ThresholdRule::kMeanPlusStddev)
+        EXPECT_NEAR(t, oracle::sample_threshold(sample, rule), 1e-12);
+      else
+        EXPECT_EQ(t, oracle::sample_threshold(sample, rule));
+    }
   }
-  EXPECT_NEAR(estimate_threshold(bins, ThresholdRule::kMeanPlusStddev),
-              estimate_threshold(kDist, ThresholdRule::kMeanPlusStddev),
-              1e-12);
-  EXPECT_EQ(estimate_threshold(std::vector<UsersBin>{}, ThresholdRule::kMean),
-            0.0);
+  const std::vector<UsersBin> all_zero{{.value = 1, .weight = 0},
+                                       {.value = 2, .weight = 0},
+                                       {.value = 3, .weight = 0}};
+  for (const auto rule : kRules)
+    EXPECT_EQ(estimate_threshold(all_zero, rule), 0.0) << to_string(rule);
 }
 
 // Mean+Median is always at least Mean for non-negative samples, which is
@@ -70,9 +101,11 @@ class ThresholdOrdering : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ThresholdOrdering, StricterRulesNeedMoreRepetitions) {
   util::Rng rng = util::Rng(GetParam());
-  std::vector<double> dist;
-  for (int i = 0; i < 50; ++i)
-    dist.push_back(1.0 + static_cast<double>(rng.below(10)));
+  // A dense histogram over 1..10, as the detector keeps it: a value no
+  // draw hits keeps a bin of weight 0.
+  std::vector<UsersBin> dist;
+  for (std::uint32_t v = 1; v <= 10; ++v) dist.push_back({.value = v});
+  for (int i = 0; i < 50; ++i) ++dist[rng.below(10)].weight;
   const double mean_th = estimate_threshold(dist, ThresholdRule::kMean);
   const double mm_th =
       estimate_threshold(dist, ThresholdRule::kMeanPlusMedian);

@@ -10,6 +10,8 @@
 namespace eyw {
 namespace {
 
+constexpr core::ThresholdRule kMean[] = {core::ThresholdRule::kMean};
+
 sim::SimConfig tiny_world(std::uint32_t cap) {
   sim::SimConfig cfg;
   cfg.num_users = 60;
@@ -28,7 +30,7 @@ sim::SimConfig tiny_world(std::uint32_t cap) {
 
 TEST(EndToEnd, FalsePositivesStayNearZero) {
   const auto sim = sim::simulate(tiny_world(6));
-  const auto out = analysis::run_detection(sim, core::DetectorConfig{});
+  const auto out = analysis::run_detection(sim, kMean).front();
   EXPECT_LT(out.confusion.false_positive_rate(), 0.02);
   EXPECT_GT(out.confusion.decided(), 1000u);
 }
@@ -41,7 +43,7 @@ TEST(EndToEnd, DetectionImprovesWithFrequencyCap) {
     std::size_t positives = 0;
     for (const auto& [pair, targeted] : sim.targeted_pair)
       positives += targeted;
-    const auto out = analysis::run_detection(sim, core::DetectorConfig{});
+    const auto out = analysis::run_detection(sim, kMean).front();
     return positives == 0 ? 0.0
                           : static_cast<double>(out.confusion.tp) /
                                 static_cast<double>(positives);
@@ -54,20 +56,17 @@ TEST(EndToEnd, DetectionImprovesWithFrequencyCap) {
 
 TEST(EndToEnd, StricterRuleNeedsMoreRepetitions) {
   const auto sim = sim::simulate(tiny_world(3));
-  core::DetectorConfig mean_cfg;
-  core::DetectorConfig mm_cfg;
-  mm_cfg.domains_rule = core::ThresholdRule::kMeanPlusMedian;
-  mm_cfg.users_rule = core::ThresholdRule::kMeanPlusMedian;
-  const auto mean_out = analysis::run_detection(sim, mean_cfg);
-  const auto mm_out = analysis::run_detection(sim, mm_cfg);
+  constexpr core::ThresholdRule kRules[] = {
+      core::ThresholdRule::kMean, core::ThresholdRule::kMeanPlusMedian};
+  const auto out = analysis::run_detection(sim, kRules);
   // At a low cap the stricter rule cannot detect more than the mean rule.
-  EXPECT_GE(mm_out.confusion.false_negative_rate(),
-            mean_out.confusion.false_negative_rate());
+  EXPECT_GE(out[1].confusion.false_negative_rate(),
+            out[0].confusion.false_negative_rate());
 }
 
 TEST(EndToEnd, VerdictsCoverEveryObservedPair) {
   const auto sim = sim::simulate(tiny_world(5));
-  const auto out = analysis::run_detection(sim, core::DetectorConfig{});
+  const auto out = analysis::run_detection(sim, kMean).front();
   EXPECT_EQ(out.verdicts.size(), sim.targeted_pair.size());
 }
 
@@ -117,8 +116,7 @@ TEST(EndToEnd, PrivacyPipelineMatchesExactCounts) {
   }
   EXPECT_EQ(mismatches, 0u) << "of " << checked;
   // Threshold from the private pipeline within CMS error of the exact one.
-  const auto exact_dist =
-      core::UsersDistribution::from_counts(exact.distribution());
+  const core::UsersDistribution exact_dist = exact.distribution();
   EXPECT_NEAR(round.users_threshold,
               exact_dist.threshold(core::ThresholdRule::kMean), 0.25);
   // The estimate can only sit ABOVE (collisions merge, never split).
@@ -131,7 +129,7 @@ TEST(EndToEnd, InsufficientDataUsersAbstain) {
   sim::SimConfig cfg = tiny_world(6);
   cfg.avg_user_visits = 2;  // almost no browsing
   const auto sim = sim::simulate(cfg);
-  const auto out = analysis::run_detection(sim, core::DetectorConfig{});
+  const auto out = analysis::run_detection(sim, kMean).front();
   EXPECT_GT(out.confusion.abstained, 0u);
 }
 
@@ -144,7 +142,7 @@ TEST(EndToEnd, IndirectTargetingDetectedWithoutSemanticOverlap) {
   cfg.retargeting_share = 0.0;
   cfg.seed = 777;
   const auto sim = sim::simulate(cfg);
-  const auto out = analysis::run_detection(sim, core::DetectorConfig{});
+  const auto out = analysis::run_detection(sim, kMean).front();
   EXPECT_GT(out.confusion.tp, 0u);
   EXPECT_LT(out.confusion.false_positive_rate(), 0.02);
 }

@@ -1,7 +1,9 @@
 // The fused finalize scan against the path it replaced. The oracle
 // materializes every id's count-min estimate with query_range, builds the
-// distribution with from_counts, and applies estimate_threshold to the
-// expanded sample of non-zero estimates; it exists only in this test.
+// distribution with from_counts, and applies the sample rule to the
+// expanded sample of non-zero estimates; the materialization exists only
+// in this test, and from_counts and the sample rule only in
+// tests/oracle/sample_detector.hpp.
 // Histograms must be equal, and the Mean, Median and Mean+Median
 // thresholds bit-identical. Mean+Stddev must be within 4 ulp of the
 // exactly computed value; the oracle's own sequential double sum of
@@ -14,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/thresholds.hpp"
+#include "../oracle/sample_detector.hpp"
 #include "server/backend.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -96,8 +98,7 @@ TEST(FinalizeHistogram, FusedScanMatchesMaterializedOracle) {
             sketch::CountMinSketch::from_cells(params, 77, cells);
         const std::vector<double> sample =
             materialized_sample(aggregate, id_space);
-        const core::UsersDistribution want =
-            core::UsersDistribution::from_counts(sample);
+        const core::UsersDistribution want = oracle::from_counts(sample);
 
         for (const core::ThresholdRule rule : kRules) {
           SCOPED_TRACE(core::to_string(rule));
@@ -109,14 +110,14 @@ TEST(FinalizeHistogram, FusedScanMatchesMaterializedOracle) {
               finalize_from_cells(config, cells, 1, 1, pool);
           ASSERT_EQ(got.distribution, want);
           ASSERT_LE(got.distribution.histogram().size(), params.cells());
-          const double oracle = core::estimate_threshold(sample, rule);
+          const double sampled = oracle::sample_threshold(sample, rule);
           if (rule == core::ThresholdRule::kMeanPlusStddev) {
             EXPECT_LE(ulp_distance(got.users_threshold,
                                    exact_mean_plus_stddev(sample)),
                       4u);
-            EXPECT_NEAR(got.users_threshold, oracle, 1e-12 * oracle);
+            EXPECT_NEAR(got.users_threshold, sampled, 1e-12 * sampled);
           } else {
-            EXPECT_EQ(got.users_threshold, oracle);
+            EXPECT_EQ(got.users_threshold, sampled);
           }
         }
       }
