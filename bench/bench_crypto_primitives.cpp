@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -18,6 +19,7 @@
 #include "crypto/montgomery.hpp"
 #include "crypto/oprf.hpp"
 #include "crypto/prime.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/sha256_kernel.hpp"
 #include "sketch/count_min.hpp"
 
@@ -35,6 +37,20 @@ void BM_Sha256Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(1024)->Arg(65536);
+
+// Counter-mode expansion of a 32-byte seed on the active kernel: 144 bytes
+// (5 blocks) is the OPRF's hash_to_zn stream at RSA-1024.
+void BM_Sha256Expand(benchmark::State& state) {
+  std::array<std::uint8_t, 32> seed{};
+  for (std::size_t i = 0; i < seed.size(); ++i)
+    seed[i] = static_cast<std::uint8_t>(7 * i + 1);
+  const auto len = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::sha256_expand(seed, len));
+  }
+  state.SetLabel(crypto::active_sha256_kernel().name);
+}
+BENCHMARK(BM_Sha256Expand)->Arg(144);
 
 // The seed's naive square-and-multiply with full divmod reduction per step.
 // Kept as the before-side of the Montgomery speedup comparison.
@@ -113,24 +129,94 @@ void BM_ModexpKernelAdx(benchmark::State& state) {
 }
 BENCHMARK(BM_ModexpKernelAdx)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
-// Interleaved lanes vs one ladder at a time; reported per element.
-void BM_ModexpBatch8(benchmark::State& state) {
+// One exponent shared across a batch, per backend: portable and adx run
+// the lanes' ladders in lockstep, ifma runs kMontLanes lanes per vector
+// pass (a partial group padded from kMontLadderMinLanes live lanes,
+// scalar below). Reported per element; the lane counts below one group
+// are what the partial-group choice is measured on.
+void modexp_batch_bench(benchmark::State& state,
+                        const crypto::MontKernel* kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("kernel unavailable on this CPU/toolchain");
+    return;
+  }
   util::Rng rng(1);
   const auto bits = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
   crypto::Bignum m = crypto::Bignum::random_bits(rng, bits);
   if (!m.is_odd()) m = m.add(crypto::Bignum(1));
-  const crypto::Montgomery mont(m);
-  std::vector<crypto::Bignum> bases, exps;
-  for (int i = 0; i < 8; ++i) {
+  const crypto::Montgomery mont(m, *kernel);
+  std::vector<crypto::Bignum> bases;
+  for (std::size_t i = 0; i < lanes; ++i)
     bases.push_back(crypto::Bignum::random_below(rng, m));
-    exps.push_back(crypto::Bignum::random_bits(rng, bits - 1));
-  }
+  const crypto::Bignum e = crypto::Bignum::random_bits(rng, bits - 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mont.modexp_batch(bases, exps));
+    benchmark::DoNotOptimize(mont.modexp_batch(bases, e));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes));
+  state.SetLabel(kernel->name);
 }
-BENCHMARK(BM_ModexpBatch8)->Arg(512)->Arg(1024)->Arg(2048);
+
+void BM_ModexpBatchPortable(benchmark::State& state) {
+  modexp_batch_bench(state, &crypto::portable_mont_kernel());
+}
+void BM_ModexpBatchAdx(benchmark::State& state) {
+  modexp_batch_bench(state, crypto::adx_mont_kernel());
+}
+void BM_ModexpBatchIfma(benchmark::State& state) {
+  modexp_batch_bench(state, crypto::ifma_mont_kernel());
+}
+BENCHMARK(BM_ModexpBatchPortable)
+    ->ArgsProduct({{256, 512, 1024, 2048}, {8}});
+BENCHMARK(BM_ModexpBatchAdx)
+    ->ArgsProduct({{256, 512, 1024, 2048}, {1, 2, 3, 4, 8}});
+BENCHMARK(BM_ModexpBatchIfma)
+    ->ArgsProduct({{256, 512, 1024, 2048}, {1, 2, 3, 4, 8}});
+
+/// A 256-member roster at `bits`: what the blinded round's reporters hold.
+struct PairSecretRoster {
+  crypto::DhGroup group;
+  std::vector<crypto::DhKeyPair> keys;
+  std::vector<crypto::Bignum> publics;
+};
+
+PairSecretRoster make_pair_secret_roster(std::size_t bits) {
+  util::Rng rng(6);
+  PairSecretRoster r{crypto::DhGroup::generate(rng, bits), {}, {}};
+  const crypto::DhContext dh(r.group);
+  for (int i = 0; i < 256; ++i) {
+    r.keys.push_back(dh.keygen(rng));
+    r.publics.push_back(r.keys.back().public_key);
+  }
+  return r;
+}
+
+/// Member 0's 255 pair keys on one core: peer chunks of kMontLanes
+/// through modexp_batch, the 32 ladder passes the BlindingParticipant
+/// constructor runs for a 256-member roster.
+void derive_pair_keys(const crypto::Montgomery& mont,
+                      const PairSecretRoster& r) {
+  const std::span<const crypto::Bignum> peers =
+      std::span<const crypto::Bignum>(r.publics).subspan(1);
+  for (std::size_t off = 0; off < peers.size(); off += crypto::kMontLanes) {
+    const auto chunk = peers.subspan(
+        off, std::min(crypto::kMontLanes, peers.size() - off));
+    for (const crypto::Bignum& s :
+         mont.modexp_batch(chunk, r.keys[0].private_key))
+      benchmark::DoNotOptimize(crypto::dh_secret_to_key(s));
+  }
+}
+
+void BM_PairSecrets255(benchmark::State& state) {
+  static const PairSecretRoster roster = make_pair_secret_roster(256);
+  const crypto::Montgomery mont(roster.group.p);
+  for (auto _ : state) derive_pair_keys(mont, roster);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          255);
+  state.SetLabel(mont.kernel_name());
+}
+BENCHMARK(BM_PairSecrets255)->Unit(benchmark::kMillisecond);
 
 // Fixed-base window table vs the plain ladder for the DH keygen shape.
 void BM_DhKeygenFixedBase(benchmark::State& state) {
@@ -338,25 +424,48 @@ void write_trajectory(const std::string& path) {
                   .cores = 1});
     }
 
-    // Batch of 8 interleaved lanes, per element, on the active kernel.
-    const crypto::Montgomery active(m);
-    std::vector<crypto::Bignum> bases, exps;
-    for (int i = 0; i < 8; ++i) {
+    // A full ladder group sharing one exponent, per element, per backend.
+    std::vector<crypto::Bignum> bases;
+    for (std::size_t i = 0; i < crypto::kMontLanes; ++i)
       bases.push_back(crypto::Bignum::random_below(rng, m));
-      exps.push_back(crypto::Bignum::random_bits(rng, bits - 1));
+    const crypto::MontKernel* batch_kernels[] = {
+        &crypto::portable_mont_kernel(), crypto::adx_mont_kernel(),
+        crypto::ifma_mont_kernel()};
+    for (const crypto::MontKernel* k : batch_kernels) {
+      if (k == nullptr) continue;  // not compiled in, or not on this CPU
+      const crypto::Montgomery mont(m, *k);
+      writer.add(
+          {.op = "modexp_batch8",
+           .modulus_bits = bits,
+           .ns_per_op = time_ns_per_op(
+                            [&] {
+                              benchmark::DoNotOptimize(
+                                  mont.modexp_batch(bases, e));
+                            },
+                            std::max(1, iters / 8)) /
+                        static_cast<double>(crypto::kMontLanes),
+           .backend = k->name,
+           .cores = 1});
     }
-    writer.add(
-        {.op = "modexp_batch8",
-         .modulus_bits = bits,
-         .ns_per_op =
-             time_ns_per_op(
-                 [&] {
-                   benchmark::DoNotOptimize(active.modexp_batch(bases, exps));
-                 },
-                 std::max(1, iters / 8)) /
-             8.0,
-         .backend = active.kernel_name(),
-         .cores = 1});
+  }
+
+  // Member 0's 255 pair secrets against a 256-member 256-bit roster, per
+  // backend, on one core: ns per whole derivation.
+  {
+    const PairSecretRoster roster = make_pair_secret_roster(256);
+    const crypto::MontKernel* kernels[] = {&crypto::portable_mont_kernel(),
+                                           crypto::adx_mont_kernel(),
+                                           crypto::ifma_mont_kernel()};
+    for (const crypto::MontKernel* k : kernels) {
+      if (k == nullptr) continue;
+      const crypto::Montgomery mont(roster.group.p, *k);
+      writer.add({.op = "pair_secrets_255",
+                  .modulus_bits = 256,
+                  .ns_per_op = time_ns_per_op(
+                      [&] { derive_pair_keys(mont, roster); }, 5),
+                  .backend = k->name,
+                  .cores = 1});
+    }
   }
 
   // OPRF round trip (blind + evaluate + finalize) at protocol sizes.
@@ -384,7 +493,9 @@ void write_trajectory(const std::string& path) {
 
   // Blinding pad fold, per backend: ns per cell·peer (one pad of `cells`
   // folded into an accumulator) at the quickstart sketch (4 x 256) and
-  // the paper's (17 x 2719).
+  // the paper's (17 x 2719). Then the OPRF's 144-byte sha256_expand
+  // stream (36 cells, 5 blocks), ns per whole stream: the avx512 kernel
+  // hands streams this short to its single-message fold.
   const crypto::Sha256Kernel* pad_kernels[] = {
       &crypto::portable_sha256_kernel(), crypto::shani_sha256_kernel(),
       crypto::avx512_sha256_kernel()};
@@ -412,6 +523,18 @@ void write_trajectory(const std::string& path) {
                   .backend = k->name,
                   .cores = 1});
     }
+    std::vector<std::uint32_t> cells(144 / 4);
+    writer.add({.op = "sha256_expand_144",
+                .modulus_bits = 0,
+                .ns_per_op = time_ns_per_op(
+                    [&] {
+                      std::fill(cells.begin(), cells.end(), 0u);
+                      k->pad_fold(cells.data(), seed, cells.size(), true);
+                      benchmark::DoNotOptimize(cells.data());
+                    },
+                    20000),
+                .backend = k->name,
+                .cores = 1});
   }
 
   if (!writer.write(path)) {

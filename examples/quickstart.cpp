@@ -605,7 +605,7 @@ int run_connect(const std::string& host, std::uint16_t port) {
 
   const auto stats = round_ch->stats();
   std::printf("round over TCP (async client, pipelined submissions): "
-              "Users_th=%.3f (%u/%u reported)\n",
+              "Users_th=%.3f (%zu/%zu reported)\n",
               got.users_threshold, got.reports, got.roster);
   std::printf("round channel: %llu exchanges, %llu B sent, %llu B received "
               "(envelope bytes; +4 B framing each way per frame)\n",

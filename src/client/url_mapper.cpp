@@ -81,7 +81,7 @@ void OprfUrlMapper::fill_cache(std::span<const std::string_view> fresh) {
     fresh = fresh.subspan(proto::kMaxOprfBatch);
   }
 
-  // Step 1: blind every input locally — the r^e ladders run interleaved
+  // Step 1: blind every input locally — the r^e ladders share e and run
   // through modexp_batch (rng draw order matches serial blind() calls, so
   // a seeded fixture sees bit-identical frames).
   const std::vector<crypto::OprfBlinded> blinded =

@@ -20,15 +20,26 @@ BlindingParticipant::BlindingParticipant(
     throw std::invalid_argument(
         "BlindingParticipant: roster disagrees with own public key");
   pair_keys_.resize(all_public_keys.size());
-  // One Montgomery context for the whole roster; the per-peer modexps are
-  // independent and fan out across cores (each writes only its own slot,
-  // so the derived keys are identical to the serial loop's).
+  // Every pair secret raises a peer's public key to this member's private
+  // key: one shared exponent, so the roster goes through modexp_batch in
+  // chunks of one ladder group, and the chunks fan out across cores. The
+  // own slot's lane is computed and dropped (a 256-member roster is 32
+  // groups either way). Each chunk writes only its own slots, and the
+  // batch returns what dh_shared_secret would, so the keys are identical
+  // to the serial loop's.
   const Montgomery mont_p(group.p);
-  pool_->parallel_for(all_public_keys.size(), [&](std::size_t j) {
-    if (j == index_) return;
-    const Bignum secret =
-        dh_shared_secret(mont_p, keypair.private_key, all_public_keys[j]);
-    pair_keys_[j] = dh_secret_to_key(secret);
+  const std::size_t chunks =
+      (all_public_keys.size() + kMontLanes - 1) / kMontLanes;
+  pool_->parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t off = c * kMontLanes;
+    const std::span<const Bignum> chunk = all_public_keys.subspan(
+        off, std::min(kMontLanes, all_public_keys.size() - off));
+    const std::vector<Bignum> secrets =
+        mont_p.modexp_batch(chunk, keypair.private_key);
+    for (std::size_t k = 0; k < chunk.size(); ++k) {
+      if (off + k != index_)
+        pair_keys_[off + k] = dh_secret_to_key(secrets[k]);
+    }
   });
 }
 

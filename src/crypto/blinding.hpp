@@ -47,6 +47,10 @@ class BlindingParticipant {
   [[nodiscard]] std::size_t peers() const noexcept {
     return pair_keys_.size();
   }
+  /// k_ij, the pad key shared with roster member `j` (j != index()).
+  [[nodiscard]] const Digest& pair_key(std::size_t j) const {
+    return pair_keys_.at(j);
+  }
 
   /// b_i[m] for m in [0, cells) at round `round`.
   [[nodiscard]] std::vector<BlindCell> blinding_vector(

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "util/cpu_features.hpp"
 
@@ -12,6 +12,12 @@ namespace detail {
 #if defined(EYW_HAVE_ADX_KERNEL)
 // Defined in montgomery_adx.cpp (compiled with -madx -mbmi2).
 const MontKernel& adx_kernel_impl() noexcept;
+#endif
+#if defined(EYW_HAVE_IFMA_KERNEL)
+// Defined in mont_ifma.cpp (compiled with -mavx512f -mavx512ifma).
+void ifma_ladder(const MontLadderModulus& m, const std::uint64_t* bases,
+                 const std::uint8_t* digits, std::size_t windows,
+                 std::size_t window, std::uint64_t* out);
 #endif
 }  // namespace detail
 
@@ -128,18 +134,24 @@ void portable_sqr(const u64* a, u64* out, u64* __restrict t,
   std::copy(t + L, t + 2 * L, out);
 }
 
-constexpr MontKernel kPortable{portable_mul, portable_sqr, "portable"};
+constexpr MontKernel kPortable{portable_mul, portable_sqr, nullptr,
+                               "portable"};
 
 const MontKernel* resolve_active() noexcept {
   const char* pref = std::getenv("EYW_MONT_KERNEL");
-  const bool force_portable =
-      pref != nullptr && std::strcmp(pref, "portable") == 0;
-  if (!force_portable) {
-    if (const MontKernel* adx = adx_mont_kernel()) return adx;
-  }
-  // "adx" requested but unavailable degrades to portable — the override is
-  // a test knob, not a correctness switch, and portable is always right.
-  return &kPortable;
+  const std::string_view want = pref != nullptr ? pref : "auto";
+  const MontKernel* pick = nullptr;
+  if (want == "portable")
+    pick = &kPortable;
+  else if (want == "adx")
+    pick = adx_mont_kernel();
+  else
+    pick = ifma_mont_kernel() != nullptr ? ifma_mont_kernel()
+                                         : adx_mont_kernel();
+  // A requested kernel the build or CPU lacks degrades to portable — the
+  // override is a test knob, not a correctness switch, and portable is
+  // always right.
+  return pick != nullptr ? pick : &kPortable;
 }
 }  // namespace
 
@@ -147,16 +159,31 @@ const MontKernel& portable_mont_kernel() noexcept { return kPortable; }
 
 bool cpu_supports_adx() noexcept {
   // Scalar extensions on general-purpose registers: no OS state to check.
-  constexpr std::uint32_t kBmi2 = 1u << 8;   // CPUID.7.0:EBX bit 8
-  constexpr std::uint32_t kAdx = 1u << 19;   // CPUID.7.0:EBX bit 19
   const std::uint32_t ebx = util::cpuid7_ebx();
-  return (ebx & kBmi2) != 0 && (ebx & kAdx) != 0;
+  return (ebx & util::kCpuid7Bmi2) != 0 && (ebx & util::kCpuid7Adx) != 0;
+}
+
+bool cpu_supports_ifma() noexcept {
+  return util::ifma_kernel_usable(util::cpuid7_ebx(), util::read_xstate());
 }
 
 const MontKernel* adx_mont_kernel() noexcept {
 #if defined(EYW_HAVE_ADX_KERNEL)
   static const bool usable = cpu_supports_adx();
   return usable ? &detail::adx_kernel_impl() : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const MontKernel* ifma_mont_kernel() noexcept {
+#if defined(EYW_HAVE_ADX_KERNEL) && defined(EYW_HAVE_IFMA_KERNEL)
+  // Single products stay on the ADX rows; only batches go vector-wide.
+  static const MontKernel kernel{detail::adx_kernel_impl().mul,
+                                 detail::adx_kernel_impl().sqr,
+                                 detail::ifma_ladder, "ifma"};
+  static const bool usable = cpu_supports_ifma();
+  return usable ? &kernel : nullptr;
 #else
   return nullptr;
 #endif

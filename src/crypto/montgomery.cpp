@@ -1,6 +1,7 @@
 #include "crypto/montgomery.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <mutex>
 #include <stdexcept>
 
@@ -8,6 +9,9 @@ namespace eyw::crypto {
 
 namespace {
 using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+constexpr u64 kMask52 = (u64{1} << 52) - 1;
 
 std::size_t window_bits_for(std::size_t exp_bits) noexcept {
   // Fixed window, sized to the exponent: the 2^w-2 table multiplies only
@@ -23,6 +27,119 @@ std::size_t window_digit(const Bignum& exp, std::size_t window,
   for (std::size_t b = 0; b < window; ++b)
     v |= static_cast<std::size_t>(exp.bit(w * window + b)) << b;
   return v;
+}
+
+/// A nonzero exponent cut into fixed windows, most significant first (the
+/// first digit is nonzero).
+struct WindowDigits {
+  std::size_t window = 0;
+  std::vector<std::uint8_t> digits;
+};
+
+WindowDigits window_digits(const Bignum& exp) {
+  WindowDigits out;
+  const std::size_t bits = exp.bit_length();
+  out.window = window_bits_for(bits);
+  const std::size_t windows = (bits + out.window - 1) / out.window;
+  out.digits.resize(windows);
+  for (std::size_t k = 0; k < windows; ++k)
+    out.digits[k] = static_cast<std::uint8_t>(
+        window_digit(exp, out.window, windows - 1 - k));
+  return out;
+}
+
+bool geq(const u64* a, const u64* b, std::size_t len) noexcept {
+  for (std::size_t i = len; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] > b[i];
+  }
+  return true;
+}
+
+void sub_in_place(u64* a, const u64* b, std::size_t len) noexcept {
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const u128 diff = static_cast<u128>(a[i]) - b[i] - borrow;
+    a[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>((diff >> 64) & 1);
+  }
+}
+
+/// x <- x * 2^shift mod N for x < N: single-bit doublings, or halvings
+/// when `shift` is negative (N is odd, so x/2 = (x + N)/2 for odd x).
+void shift_mod(std::vector<u64>& x, const std::vector<u64>& n,
+               std::ptrdiff_t shift) noexcept {
+  const std::size_t L = n.size();
+  for (; shift > 0; --shift) {
+    u64 top = 0;
+    for (std::size_t i = 0; i < L; ++i) {
+      const u64 v = x[i];
+      x[i] = (v << 1) | top;
+      top = v >> 63;
+    }
+    if (top != 0 || geq(x.data(), n.data(), L))
+      sub_in_place(x.data(), n.data(), L);
+  }
+  for (; shift < 0; ++shift) {
+    u64 top = 0;
+    if ((x[0] & 1) != 0) {
+      for (std::size_t i = 0; i < L; ++i) {
+        const u128 sum = static_cast<u128>(x[i]) + n[i] + top;
+        x[i] = static_cast<u64>(sum);
+        top = static_cast<u64>(sum >> 64);
+      }
+    }
+    for (std::size_t i = 0; i < L; ++i) {
+      const u64 hi = i + 1 < L ? x[i + 1] : top;
+      x[i] = (x[i] >> 1) | (hi << 63);
+    }
+  }
+}
+
+/// Radix 2^64 -> radix 2^52: `out` gets the low 52 * out_limbs bits of x.
+void to_radix52(std::span<const u64> x, u64* out, std::size_t out_limbs) {
+  for (std::size_t k = 0; k < out_limbs; ++k) {
+    const std::size_t limb = 52 * k / 64;
+    const std::size_t off = 52 * k % 64;
+    u64 v = limb < x.size() ? x[limb] >> off : 0;
+    if (off > 12 && limb + 1 < x.size()) v |= x[limb + 1] << (64 - off);
+    out[k] = v & kMask52;
+  }
+}
+
+/// N as a `limbs`-wide vector ladder sees it, from N's limbs, R^2 mod N
+/// and -N^-1 mod 2^64 of the radix-2^64 context. The ladder's own
+/// R' = 2^(52 limbs) has R'^2 mod N = R^2 2^shift mod N, a few doublings
+/// or halvings away (8 at 256 bits, 64 at 2048), so no divmod runs. Built
+/// per batch: contexts that never batch (one per prime candidate in a
+/// prime search) never pay for it.
+MontLadderModulus ladder_modulus(const std::vector<u64>& n,
+                                 const std::vector<u64>& rr, u64 n0inv,
+                                 std::size_t limbs) {
+  MontLadderModulus m;
+  m.limbs = limbs;
+  m.k0 = n0inv & kMask52;
+  m.n.resize(limbs);
+  to_radix52(n, m.n.data(), limbs);
+  std::vector<u64> rr52 = rr;
+  shift_mod(rr52, n,
+            static_cast<std::ptrdiff_t>(104 * limbs) -
+                static_cast<std::ptrdiff_t>(128 * n.size()));
+  m.rr.resize(limbs);
+  to_radix52(rr52, m.rr.data(), limbs);
+  return m;
+}
+
+/// Radix 2^52 -> radix 2^64, for a value that fits `out_limbs` limbs.
+std::vector<u64> from_radix52(const u64* x, std::size_t limbs,
+                              std::size_t out_limbs) {
+  std::vector<u64> out(out_limbs, 0);
+  for (std::size_t k = 0; k < limbs; ++k) {
+    const std::size_t limb = 52 * k / 64;
+    const std::size_t off = 52 * k % 64;
+    if (limb < out_limbs) out[limb] |= x[k] << off;
+    if (off > 12 && limb + 1 < out_limbs) out[limb + 1] |= x[k] >> (64 - off);
+  }
+  return out;
 }
 }  // namespace
 
@@ -105,12 +222,17 @@ std::vector<u64> Montgomery::mont_mul(const std::vector<u64>& a,
   return out;
 }
 
-std::vector<u64> Montgomery::to_mont(const Bignum& a) const {
-  const std::size_t L = n_.size();
+std::vector<u64> Montgomery::reduced_limbs(const Bignum& a) const {
   const Bignum reduced = a >= modulus_ ? a.mod(modulus_) : a;
-  std::vector<u64> av(L, 0);
+  std::vector<u64> av(n_.size(), 0);
   const auto limbs = reduced.limbs();
   std::copy(limbs.begin(), limbs.end(), av.begin());
+  return av;
+}
+
+std::vector<u64> Montgomery::to_mont(const Bignum& a) const {
+  const std::size_t L = n_.size();
+  const std::vector<u64> av = reduced_limbs(a);
   std::vector<u64> out(L);
   std::vector<u64> scratch(mont_kernel_scratch_limbs(L));
   cios(av.data(), rr_.data(), out.data(), scratch.data());
@@ -130,13 +252,9 @@ Bignum Montgomery::from_mont(const std::vector<u64>& a) const {
 Bignum Montgomery::modmul(const Bignum& a, const Bignum& b) const {
   // Only a enters the domain: (aR) * b * R^-1 = a*b mod N. Two CIOS
   // passes total instead of the four of convert-both-then-exit.
-  const std::size_t L = n_.size();
-  std::vector<u64> scratch(mont_kernel_scratch_limbs(L));
+  std::vector<u64> scratch(mont_kernel_scratch_limbs(n_.size()));
   std::vector<u64> am = to_mont(a);
-  const Bignum b_red = b >= modulus_ ? b.mod(modulus_) : b;
-  std::vector<u64> bv(L, 0);
-  const auto b_limbs = b_red.limbs();
-  std::copy(b_limbs.begin(), b_limbs.end(), bv.begin());
+  const std::vector<u64> bv = reduced_limbs(b);
   cios(am.data(), bv.data(), am.data(), scratch.data());
   return Bignum::from_limbs(std::move(am));
 }
@@ -147,128 +265,89 @@ Bignum Montgomery::modexp(const Bignum& base, const Bignum& exp) const {
 
 std::vector<u64> Montgomery::modexp_mont(const Bignum& base,
                                          const Bignum& exp) const {
-  const std::size_t L = n_.size();
-  std::vector<u64> scratch(mont_kernel_scratch_limbs(L));
-
-  const std::size_t bits = exp.bit_length();
-  if (bits == 0) return one_;  // x^0 = 1 mod N
-
-  const std::size_t window = window_bits_for(bits);
-  std::vector<std::vector<u64>> table(std::size_t{1} << window);
-  table[0] = one_;
-  table[1] = to_mont(base);
-  for (std::size_t k = 2; k < table.size(); ++k) {
-    table[k].resize(L);
-    cios(table[k - 1].data(), table[1].data(), table[k].data(),
-         scratch.data());
-  }
-
-  const std::size_t windows = (bits + window - 1) / window;
-  std::vector<u64> acc = table[window_digit(exp, window, windows - 1)];
-  for (std::size_t w = windows - 1; w-- > 0;) {
-    for (std::size_t s = 0; s < window; ++s)
-      cios_sqr(acc.data(), acc.data(), scratch.data());
-    const std::size_t win = window_digit(exp, window, w);
-    if (win != 0) cios(acc.data(), table[win].data(), acc.data(),
-                       scratch.data());
-  }
-  return acc;
+  if (exp.is_zero()) return one_;  // x^0 = 1 mod N
+  const WindowDigits wd = window_digits(exp);
+  std::vector<u64> out(n_.size());
+  lockstep_mont(std::span<const Bignum>(&base, 1), wd.digits, wd.window,
+                out.data());
+  return out;
 }
 
-std::vector<Bignum> Montgomery::modexp_batch(
-    std::span<const Bignum> bases, std::span<const Bignum> exps) const {
+void Montgomery::lockstep_mont(std::span<const Bignum> bases,
+                               std::span<const std::uint8_t> digits,
+                               std::size_t window, u64* out) const {
   const std::size_t K = bases.size();
-  if (exps.size() != K && exps.size() != 1)
-    throw std::invalid_argument(
-        "Montgomery::modexp_batch: exps must match bases or be a single "
-        "shared exponent");
   const std::size_t L = n_.size();
+  const std::size_t entries = std::size_t{1} << window;
   std::vector<u64> scratch(mont_kernel_scratch_limbs(L));
-
-  // One ladder per lane, all sharing this thread's scratch. Lanes are
-  // advanced round-robin a single kernel call at a time, so consecutive
-  // calls operate on independent data: the out-of-order core overlaps the
-  // tail of one lane's carry chain with the head of the next lane's.
-  struct Lane {
-    const Bignum* exp = nullptr;
-    std::vector<std::vector<u64>> table;
-    std::vector<u64> acc;
-    std::size_t window = 0;   // window width in bits
-    std::size_t w = 0;        // next window index to consume (counts down)
-    std::size_t sqr_left = 0; // squarings before the next digit multiply
-    bool need_mult = false;
-    bool done = false;
+  // Base i's table entry for digit d (base^d, in the domain) sits at
+  // [(i * entries + d) * L]; entry 0 is never read.
+  std::vector<u64> table(K * entries * L);
+  const auto entry = [&](std::size_t i, std::size_t d) {
+    return table.data() + (i * entries + d) * L;
   };
-  std::vector<Lane> lanes(K);
   for (std::size_t i = 0; i < K; ++i) {
-    Lane& lane = lanes[i];
-    lane.exp = exps.size() == 1 ? &exps[0] : &exps[i];
-    const std::size_t bits = lane.exp->bit_length();
-    if (bits == 0) {
-      lane.acc = one_;
-      lane.done = true;
-      continue;
-    }
-    lane.window = window_bits_for(bits);
-    lane.table.assign(std::size_t{1} << lane.window, {});
-    lane.table[0] = one_;
-    lane.table[1] = to_mont(bases[i]);
-    lane.w = (bits + lane.window - 1) / lane.window;
+    const std::vector<u64> reduced = reduced_limbs(bases[i]);
+    cios(reduced.data(), rr_.data(), entry(i, 1), scratch.data());
   }
-  // Table rows interleaved across lanes (they are multiplies too).
-  for (std::size_t k = 2;; ++k) {
-    bool any = false;
-    for (Lane& lane : lanes) {
-      if (lane.done || k >= lane.table.size()) continue;
-      any = true;
-      lane.table[k].resize(L);
-      cios(lane.table[k - 1].data(), lane.table[1].data(),
-           lane.table[k].data(), scratch.data());
-    }
-    if (!any) break;
+  for (std::size_t d = 2; d < entries; ++d) {
+    for (std::size_t i = 0; i < K; ++i)
+      cios(entry(i, d - 1), entry(i, 1), entry(i, d), scratch.data());
   }
-  for (Lane& lane : lanes) {
-    if (lane.done) continue;
-    --lane.w;
-    lane.acc = lane.table[window_digit(*lane.exp, lane.window, lane.w)];
-    if (lane.w == 0) {
-      lane.done = true;
-    } else {
-      lane.sqr_left = lane.window;
+  // Every ladder takes the same step at once: consecutive kernel calls
+  // work on independent data, so the core overlaps one ladder's carry
+  // chain with the next one's.
+  for (std::size_t i = 0; i < K; ++i)
+    std::copy(entry(i, digits[0]), entry(i, digits[0]) + L, out + i * L);
+  for (std::size_t w = 1; w < digits.size(); ++w) {
+    for (std::size_t s = 0; s < window; ++s) {
+      for (std::size_t i = 0; i < K; ++i)
+        cios_sqr(out + i * L, out + i * L, scratch.data());
     }
+    if (digits[w] == 0) continue;
+    for (std::size_t i = 0; i < K; ++i)
+      cios(out + i * L, entry(i, digits[w]), out + i * L, scratch.data());
   }
+}
 
-  // Round-robin: one Montgomery operation per visit per live lane.
-  for (;;) {
-    bool any = false;
-    for (Lane& lane : lanes) {
-      if (lane.done) continue;
-      any = true;
-      if (lane.sqr_left > 0) {
-        cios_sqr(lane.acc.data(), lane.acc.data(), scratch.data());
-        if (--lane.sqr_left == 0) lane.need_mult = true;
-        continue;
-      }
-      // need_mult: fold in the next window digit, then either rearm the
-      // squaring run or finish the lane.
-      --lane.w;
-      const std::size_t win = window_digit(*lane.exp, lane.window, lane.w);
-      if (win != 0)
-        cios(lane.acc.data(), lane.table[win].data(), lane.acc.data(),
-             scratch.data());
-      lane.need_mult = false;
-      if (lane.w == 0) {
-        lane.done = true;
-      } else {
-        lane.sqr_left = lane.window;
-      }
-    }
-    if (!any) break;
-  }
-
+std::vector<Bignum> Montgomery::modexp_batch(std::span<const Bignum> bases,
+                                             const Bignum& exp) const {
+  const std::size_t K = bases.size();
+  if (exp.is_zero()) return std::vector<Bignum>(K, Bignum(1));  // N > 1
+  const WindowDigits wd = window_digits(exp);
+  const std::size_t L = n_.size();
+  const std::size_t width =
+      kernel_->ladder != nullptr ? mont_ladder_limbs(modulus_.bit_length())
+                                 : 0;
+  const MontLadderModulus ladder =
+      width != 0 && K >= kMontLadderMinLanes
+          ? ladder_modulus(n_, rr_, n0inv_, width)
+          : MontLadderModulus{};
+  const std::size_t L52 = ladder.limbs;
   std::vector<Bignum> out;
   out.reserve(K);
-  for (Lane& lane : lanes) out.push_back(from_mont(lane.acc));
+  std::vector<u64> lanes(kMontLanes * std::max(L, L52));
+  std::vector<u64> results(kMontLanes * L52);
+  for (std::size_t off = 0; off < K; off += kMontLanes) {
+    const std::span<const Bignum> group =
+        bases.subspan(off, std::min(kMontLanes, K - off));
+    if (L52 != 0 && group.size() >= kMontLadderMinLanes) {
+      // Lanes past the group's end raise 0 and are dropped.
+      std::fill(lanes.begin(), lanes.end(), 0);
+      for (std::size_t i = 0; i < group.size(); ++i)
+        to_radix52(reduced_limbs(group[i]), lanes.data() + i * L52, L52);
+      kernel_->ladder(ladder, lanes.data(), wd.digits.data(),
+                      wd.digits.size(), wd.window, results.data());
+      for (std::size_t i = 0; i < group.size(); ++i)
+        out.push_back(
+            Bignum::from_limbs(from_radix52(results.data() + i * L52, L52, L)));
+      continue;
+    }
+    lockstep_mont(group, wd.digits, wd.window, lanes.data());
+    for (std::size_t i = 0; i < group.size(); ++i)
+      out.push_back(from_mont(
+          std::vector<u64>(lanes.data() + i * L, lanes.data() + (i + 1) * L)));
+  }
   return out;
 }
 

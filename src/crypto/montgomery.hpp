@@ -10,10 +10,20 @@
 // exponent bit from ~1.5 (square-and-multiply) to ~1.25/4.
 //
 // The CIOS pass itself is a pluggable kernel (crypto/mont_kernel.hpp): the
-// portable u128 loop everywhere, and a BMI2/ADX `mulx`/`adcx`/`adox`
-// kernel selected by CPUID at runtime on hardware that has it. A context
-// captures the kernel once at construction; Montgomery(m, kernel) pins an
-// explicit one (how the differential tests and benches compare backends).
+// portable u128 loop everywhere, a BMI2/ADX `mulx`/`adcx`/`adox` kernel
+// selected by CPUID at runtime on hardware that has it, and the ifma
+// kernel, which adds an AVX-512 IFMA ladder raising eight bases to one
+// shared exponent per pass. A context captures the kernel once at
+// construction; Montgomery(m, kernel) pins an explicit one (how the
+// differential tests and benches compare backends).
+//
+// Batches share one exponent: a DH member's private key across its
+// peers, dp/dq across an OPRF batch, e on the client. modexp_batch runs
+// groups of up to kMontLanes bases on the vector ladder where the kernel
+// has one and the modulus fits a ladder width, and a lone base, or every
+// base on the other kernels, on the scalar kernel in lockstep over the
+// shared window digits. Every path returns canonical residues, so
+// results are bit-identical across kernels.
 //
 // Contexts are immutable after construction and safe to share across
 // threads; the parallel round pipeline relies on this. shared_for()
@@ -51,7 +61,7 @@ class Montgomery {
   [[nodiscard]] const Bignum& modulus() const noexcept { return modulus_; }
   /// Limbs per residue (the word size L of the CIOS loops).
   [[nodiscard]] std::size_t limb_count() const noexcept { return n_.size(); }
-  /// Kernel this context runs on: "portable" or "adx".
+  /// Kernel this context runs on: "portable", "adx" or "ifma".
   [[nodiscard]] const char* kernel_name() const noexcept {
     return kernel_->name;
   }
@@ -61,15 +71,14 @@ class Montgomery {
   /// (base ^ exp) mod N via fixed 4-bit-window Montgomery exponentiation.
   [[nodiscard]] Bignum modexp(const Bignum& base, const Bignum& exp) const;
 
-  /// K independent exponentiations, lanes advanced round-robin one
-  /// Montgomery operation at a time: lane i computes bases[i]^exps[i]
-  /// (exps may also hold a single shared exponent). Adjacent operations
-  /// then come from different ladders, so the multiplier pipeline is fed
-  /// independent work instead of stalling on one ladder's carry chain —
-  /// the OPRF batch paths (server evaluation, client blinding/unblinding)
-  /// run on this. Results are identical to per-element modexp().
+  /// bases[i]^exp mod N for every i, one shared exponent. Full groups of
+  /// kMontLanes run on the kernel's vector ladder when it has one at this
+  /// modulus' width; a partial group runs padded from kMontLadderMinLanes
+  /// live lanes and on the scalar kernel below; without a ladder every
+  /// base runs on the scalar kernel, all ladders in lockstep over the
+  /// shared window digits. Results are identical to per-element modexp().
   [[nodiscard]] std::vector<Bignum> modexp_batch(
-      std::span<const Bignum> bases, std::span<const Bignum> exps) const;
+      std::span<const Bignum> bases, const Bignum& exp) const;
 
   // Raw Montgomery-domain interface, for callers that chain many
   // operations on residues (e.g. the Miller-Rabin squaring ladder) and
@@ -104,6 +113,16 @@ class Montgomery {
   /// Kernel trampoline for the dedicated squaring: out <- a*a*R^-1 mod N.
   void cios_sqr(const std::uint64_t* a, std::uint64_t* out,
                 std::uint64_t* scratch) const;
+  /// The scalar ladder, in lockstep over `bases`: out holds bases.size()
+  /// domain values of limb_count() limbs each, base i's at [i * L].
+  /// `digits` are the exponent's `window`-bit digits, most significant
+  /// first (nonzero).
+  void lockstep_mont(std::span<const Bignum> bases,
+                     std::span<const std::uint8_t> digits, std::size_t window,
+                     std::uint64_t* out) const;
+  /// `a` reduced mod N, as L little-endian limbs.
+  [[nodiscard]] std::vector<std::uint64_t> reduced_limbs(
+      const Bignum& a) const;
 
   Bignum modulus_;
   const MontKernel* kernel_;        // captured once; never null

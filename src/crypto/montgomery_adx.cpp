@@ -319,7 +319,7 @@ void adx_sqr(const std::uint64_t* a, std::uint64_t* out,
   }
 }
 
-constexpr MontKernel kAdx{adx_mul, adx_sqr, "adx"};
+constexpr MontKernel kAdx{adx_mul, adx_sqr, nullptr, "adx"};
 
 }  // namespace
 

@@ -39,10 +39,10 @@ Bignum OprfServer::evaluate_blinded(const Bignum& blinded) const {
 
 std::vector<Bignum> OprfServer::evaluate_blinded_batch(
     std::span<const Bignum> blinded) const {
-  // Two levels of parallelism: chunks fan out across the thread pool, and
-  // within a chunk private_apply_batch interleaves the CRT ladders so each
-  // core's multiplier pipeline is fed independent work.
-  constexpr std::size_t kChunk = 8;
+  // Two levels of parallelism: chunks of one ladder group fan out across
+  // the thread pool, and within a chunk private_apply_batch raises all
+  // kMontLanes elements to dp (dq) in one vector ladder pass.
+  constexpr std::size_t kChunk = kMontLanes;
   const std::size_t chunks = (blinded.size() + kChunk - 1) / kChunk;
   std::vector<std::vector<Bignum>> parts(chunks);
   util::ThreadPool::shared().parallel_for(chunks, [&](std::size_t c) {
@@ -103,7 +103,7 @@ std::vector<OprfBlinded> OprfClient::blind_batch(
   // Hashes and r-draws first, in input order — the rng consumes exactly
   // the sequence repeated blind() calls would, so the outputs (and any
   // seeded test fixture built on them) are bit-identical. The r^e ladders
-  // then run interleaved.
+  // then run as one shared-exponent batch.
   std::vector<Bignum> hs;
   std::vector<Bignum> rs;
   hs.reserve(inputs.size());
@@ -112,8 +112,8 @@ std::vector<OprfBlinded> OprfClient::blind_batch(
     hs.push_back(hash_to_zn(input, pub_.n));
     rs.push_back(draw_blinding_factor(rng, pub_.n));
   }
-  const std::vector<Bignum> r_es = mont_->modexp_batch(
-      std::span<const Bignum>(rs), std::span<const Bignum>(&pub_.e, 1));
+  const std::vector<Bignum> r_es =
+      mont_->modexp_batch(std::span<const Bignum>(rs), pub_.e);
   std::vector<OprfBlinded> out;
   out.reserve(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -150,8 +150,7 @@ std::vector<OprfOutput> OprfClient::finalize_batch(
   }
   // The verification exponentiations share e and batch across responses.
   const std::vector<Bignum> checks =
-      mont_->modexp_batch(std::span<const Bignum>(unblinded),
-                          std::span<const Bignum>(&pub_.e, 1));
+      mont_->modexp_batch(std::span<const Bignum>(unblinded), pub_.e);
   std::vector<OprfOutput> out;
   out.reserve(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {

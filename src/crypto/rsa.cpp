@@ -82,34 +82,20 @@ std::vector<Bignum> RsaPrivateContext::private_apply_batch(
   for (const Bignum& x : xs)
     if (x >= key_.pub.n)
       throw std::invalid_argument("rsa_private_apply: x >= n");
-  // 8 lanes saturates the out-of-order window without blowing the L1
-  // footprint of the per-lane window tables.
-  constexpr std::size_t kLanes = 8;
+  if (!mp_) return mn_->modexp_batch(xs, key_.d);
+  // Both CRT halves batch over their shared exponents; Garner
+  // recombination is cheap (one modmul and one schoolbook multiply per
+  // element).
+  const std::vector<Bignum> m1 = mp_->modexp_batch(xs, key_.dp);
+  const std::vector<Bignum> m2 = mq_->modexp_batch(xs, key_.dq);
   std::vector<Bignum> out;
   out.reserve(xs.size());
-  for (std::size_t off = 0; off < xs.size(); off += kLanes) {
-    const std::span<const Bignum> chunk =
-        xs.subspan(off, std::min(kLanes, xs.size() - off));
-    if (!mp_) {
-      const std::span<const Bignum> d(&key_.d, 1);
-      for (Bignum& r : mn_->modexp_batch(chunk, d))
-        out.push_back(std::move(r));
-      continue;
-    }
-    // Both CRT halves batch; Garner recombination is cheap (one modmul
-    // and one schoolbook multiply per element).
-    const std::vector<Bignum> m1 =
-        mp_->modexp_batch(chunk, std::span<const Bignum>(&key_.dp, 1));
-    const std::vector<Bignum> m2 =
-        mq_->modexp_batch(chunk, std::span<const Bignum>(&key_.dq, 1));
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      const Bignum m2_mod_p = m2[i] >= key_.p ? m2[i].mod(key_.p) : m2[i];
-      const Bignum diff = m1[i] >= m2_mod_p
-                              ? m1[i].sub(m2_mod_p)
-                              : m1[i].add(key_.p).sub(m2_mod_p);
-      const Bignum h = mp_->modmul(key_.qinv, diff);
-      out.push_back(m2[i].add(h.mul(key_.q)));
-    }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const Bignum m2_mod_p = m2[i] >= key_.p ? m2[i].mod(key_.p) : m2[i];
+    const Bignum diff = m1[i] >= m2_mod_p ? m1[i].sub(m2_mod_p)
+                                          : m1[i].add(key_.p).sub(m2_mod_p);
+    const Bignum h = mp_->modmul(key_.qinv, diff);
+    out.push_back(m2[i].add(h.mul(key_.q)));
   }
   return out;
 }

@@ -69,9 +69,9 @@ class RsaPrivateContext {
   [[nodiscard]] Bignum private_apply(const Bignum& x) const;
 
   /// Batch private operation, order preserved, results identical to
-  /// per-element private_apply(). Elements run through
-  /// Montgomery::modexp_batch in small chunks so adjacent Montgomery
-  /// operations come from independent ladders (both CRT halves batch).
+  /// per-element private_apply(). Both CRT halves run through
+  /// Montgomery::modexp_batch, which raises eight elements per vector
+  /// ladder pass to the shared dp (dq) where the kernel has one.
   [[nodiscard]] std::vector<Bignum> private_apply_batch(
       std::span<const Bignum> xs) const;
 

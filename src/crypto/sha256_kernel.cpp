@@ -106,6 +106,38 @@ void portable_pad_fold(std::uint32_t* acc, const std::uint8_t* seed,
 constexpr Sha256Kernel kPortable{portable_compress, portable_pad_fold,
                                  "portable"};
 
+#if defined(EYW_HAVE_AVX512_SHA256)
+// One AVX-512 pass costs as much as 16 blocks whether or not the stream
+// fills them: ~305 ns on a 4-vCPU Xeon VM with AVX-512 and SHA-NI,
+// against ~37 ns a block on SHA-NI and ~270 ns a block on the portable
+// compression. A stream shorter than the cut runs one message at a time
+// instead (the OPRF's 144-byte hash_to_zn expansion: 5 blocks, 187 ns on
+// SHA-NI against 313 ns in one pass; docs/perf.md).
+constexpr std::size_t kAvx512FromBlocksOverShaNi = 9;
+constexpr std::size_t kAvx512FromBlocksOverPortable = 2;
+
+constexpr std::size_t blocks_of(std::size_t cells) noexcept {
+  return (cells + 7) / 8;
+}
+
+void avx512_pad_fold_over_portable(std::uint32_t* acc,
+                                   const std::uint8_t* seed,
+                                   std::size_t cells, bool positive) {
+  if (blocks_of(cells) < kAvx512FromBlocksOverPortable)
+    return portable_pad_fold(acc, seed, cells, positive);
+  detail::avx512_pad_fold(acc, seed, cells, positive);
+}
+
+#if defined(EYW_HAVE_SHANI_KERNEL)
+void avx512_pad_fold_over_shani(std::uint32_t* acc, const std::uint8_t* seed,
+                                std::size_t cells, bool positive) {
+  if (blocks_of(cells) < kAvx512FromBlocksOverShaNi)
+    return detail::shani_kernel_impl().pad_fold(acc, seed, cells, positive);
+  detail::avx512_pad_fold(acc, seed, cells, positive);
+}
+#endif
+#endif
+
 const Sha256Kernel* resolve_active() noexcept {
   const char* pref = std::getenv("EYW_SHA256_KERNEL");
   const std::string_view want = pref != nullptr ? pref : "auto";
@@ -151,12 +183,19 @@ const Sha256Kernel* shani_sha256_kernel() noexcept {
 
 const Sha256Kernel* avx512_sha256_kernel() noexcept {
 #if defined(EYW_HAVE_AVX512_SHA256)
-  // Only the pad fold is 16 lanes wide; one message at a time still runs
-  // SHA-NI where the CPU has it.
+  // Only the pad fold is 16 lanes wide, and only from the cut above; one
+  // message at a time still runs SHA-NI where the CPU has it.
+#if defined(EYW_HAVE_SHANI_KERNEL)
+  static const Sha256Kernel kernel =
+      shani_sha256_kernel() != nullptr
+          ? Sha256Kernel{shani_sha256_kernel()->compress,
+                         avx512_pad_fold_over_shani, "avx512"}
+          : Sha256Kernel{portable_compress, avx512_pad_fold_over_portable,
+                         "avx512"};
+#else
   static const Sha256Kernel kernel{
-      shani_sha256_kernel() != nullptr ? shani_sha256_kernel()->compress
-                                       : portable_compress,
-      detail::avx512_pad_fold, "avx512"};
+      portable_compress, avx512_pad_fold_over_portable, "avx512"};
+#endif
   static const bool usable = cpu_supports_avx512f();
   return usable ? &kernel : nullptr;
 #else

@@ -226,6 +226,32 @@ TEST(Blinding, PadStreamMatchesGoldenDigests) {
   }
 }
 
+TEST(Blinding, PairKeysMatchPerPeerDerivation) {
+  // The constructor derives pair secrets through modexp_batch in roster
+  // chunks of kMontLanes: 20 members make two full ladder groups and a
+  // partial one, and each member's own slot sits in a different lane.
+  util::Rng rng(0x70616972);
+  const DhGroup group = DhGroup::generate(rng, 256);
+  constexpr std::size_t kMembers = 20;
+  std::vector<DhKeyPair> keys;
+  std::vector<Bignum> publics;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    keys.push_back(dh_keygen(group, rng));
+    publics.push_back(keys.back().public_key);
+  }
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    const BlindingParticipant p(group, i, keys[i],
+                                std::span<const Bignum>(publics));
+    for (std::size_t j = 0; j < kMembers; ++j) {
+      if (j == i) continue;
+      EXPECT_EQ(p.pair_key(j),
+                dh_secret_to_key(
+                    dh_shared_secret(group, keys[i].private_key, publics[j])))
+          << "member " << i << ", peer " << j;
+    }
+  }
+}
+
 TEST(Blinding, RosterBytesScalesQuadratically) {
   const DhGroup g = DhGroup::rfc3526_2048();
   EXPECT_EQ(roster_bytes(g, 0), 0u);

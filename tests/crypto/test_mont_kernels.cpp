@@ -1,18 +1,23 @@
 // Differential agreement suite: the portable u128 kernel is the oracle,
 // and the BMI2/ADX kernel must be bit-identical to it on every input —
 // every limb count the dispatch table covers (1..33), the rolled fallback
-// beyond it, aliased outputs, and the edge exponents of the ladder. On
-// hardware without ADX the suite skips cleanly (the portable kernel is
-// then the only backend and has nothing to disagree with); the
-// batch/fixed-base agreement tests at the bottom run everywhere.
+// beyond it, aliased outputs, and the edge exponents of the ladder. The
+// IFMA kernel's shared-exponent vector ladder must agree with the scalar
+// ladders and modexp_basic at every ladder width. On hardware without ADX
+// or IFMA those suites skip cleanly (the remaining kernels have nothing
+// to disagree with); the batch/fixed-base agreement tests at the bottom
+// run everywhere, on the active kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "crypto/bignum.hpp"
 #include "crypto/mont_kernel.hpp"
 #include "crypto/montgomery.hpp"
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace eyw::crypto {
@@ -193,51 +198,209 @@ TEST_F(MontKernelDifferential, FullPipelineAgreement) {
 }
 
 // ------------------------------------------------------------------------
-// Batch and fixed-base paths: value agreement with the sequential ladder.
-// These run on whatever kernel is active, portable included.
+// Shared-exponent batches. The ifma kernel's vector ladder must agree with
+// the scalar lockstep ladder on adx and portable, and all three with
+// modexp_basic, at every ladder width: moduli at the protocol sizes, just
+// under each width's limit of 52L - 2 bits and just over it (the next
+// width), with the bases the reduction can trip on.
+
+/// Random odd modulus of exactly `bits` bits.
+Bignum random_odd_modulus_bits(util::Rng& rng, std::size_t bits) {
+  Bignum n = Bignum::random_bits(rng, bits);
+  return n.is_odd() ? n : n.add(Bignum(1));
+}
+
+/// Bases 0, 1, N-1, N, N+1 and a value past 2N, then random residues up
+/// to `count`: two ladder groups and a partial one for count = 19.
+std::vector<Bignum> edge_and_random_bases(util::Rng& rng, const Bignum& n,
+                                          std::size_t count) {
+  std::vector<Bignum> bases = {Bignum(0),        Bignum(1),
+                               n.sub(Bignum(1)), n,
+                               n.add(Bignum(1)), n.shl(1).add(Bignum(5))};
+  while (bases.size() < count) bases.push_back(Bignum::random_below(rng, n));
+  return bases;
+}
+
+class MontLadderDifferential : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ifma_ = ifma_mont_kernel();
+    if (ifma_ == nullptr)
+      GTEST_SKIP() << "IFMA kernel unavailable (CPU, OS or toolchain); "
+                      "batches run the scalar lockstep ladder only";
+    adx_ = adx_mont_kernel();
+    ASSERT_NE(adx_, nullptr) << "ifma implies adx";
+  }
+  const MontKernel* ifma_ = nullptr;
+  const MontKernel* adx_ = nullptr;
+};
+
+TEST_F(MontLadderDifferential, IfmaAdxPortableAndBasicAgreeAtEveryWidth) {
+  util::Rng rng(0x6d6b40);
+  // Protocol sizes, each width's limit (258, 518, 1038, 2078 bits) and
+  // one bit past it, which moves to the next width or, past 2078, to
+  // the scalar ladder.
+  for (const std::size_t bits : {64, 255, 256, 258, 259, 512, 518, 519,
+                                 1024, 1038, 1039, 2048, 2078, 2079}) {
+    const Bignum n = random_odd_modulus_bits(rng, bits);
+    const Montgomery ifma(n, *ifma_);
+    const Montgomery adx(n, *adx_);
+    const Montgomery portable(n, portable_mont_kernel());
+    ASSERT_STREQ(ifma.kernel_name(), "ifma");
+    const std::size_t count = bits >= 1039 ? 9 : 19;
+    const std::vector<Bignum> bases = edge_and_random_bases(rng, n, count);
+    // A modulus-width exponent (window 4) and a 40-bit one (window 2),
+    // whose ladder modexp_basic can afford at every width.
+    for (const Bignum& e :
+         {Bignum::random_bits(rng, bits), Bignum::random_bits(rng, 40)}) {
+      const std::vector<Bignum> want = portable.modexp_batch(bases, e);
+      EXPECT_EQ(ifma.modexp_batch(bases, e), want)
+          << bits << "-bit modulus, " << e.bit_length() << "-bit exponent";
+      EXPECT_EQ(adx.modexp_batch(bases, e), want)
+          << bits << "-bit modulus, " << e.bit_length() << "-bit exponent";
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        EXPECT_EQ(want[i], portable.modexp(bases[i], e)) << "base " << i;
+        if (e.bit_length() <= 40 || bits <= 520)
+          EXPECT_EQ(want[i], Bignum::modexp_basic(bases[i], e, n))
+              << bits << "-bit modulus, base " << i;
+      }
+    }
+  }
+}
+
+TEST_F(MontLadderDifferential, WidestModuliAtEachWidthReduceEdgeBases) {
+  // All-ones moduli fill their width to the limit: every limb at its
+  // maximum, so each accumulator holds the most it ever can.
+  util::Rng rng(0x6d6b41);
+  for (const std::size_t bits : {258, 518, 1038, 2078}) {
+    const Bignum n = Bignum(1).shl(bits).sub(Bignum(1));
+    const Montgomery ifma(n, *ifma_);
+    const Montgomery portable(n, portable_mont_kernel());
+    const std::vector<Bignum> bases = edge_and_random_bases(rng, n, 8);
+    const Bignum all_ones = Bignum(1).shl(bits).sub(Bignum(1));
+    for (const Bignum& e : {Bignum(1), Bignum(65537), all_ones}) {
+      EXPECT_EQ(ifma.modexp_batch(bases, e), portable.modexp_batch(bases, e))
+          << bits << "-bit all-ones modulus, " << e.bit_length()
+          << "-bit exponent";
+    }
+  }
+}
+
+TEST_F(MontLadderDifferential, ZeroResiduesLeaveTheDomainCanonical) {
+  // N = s^2 with base s: from the second power on, every product is a
+  // nonzero multiple of N, which the ladder carries as N rather than 0
+  // (its products stay below 2N, not below N), so only the final
+  // subtraction makes the result the canonical 0.
+  util::Rng rng(0x6d6b42);
+  for (const std::size_t bits : {256, 512, 1024, 2048}) {
+    const Bignum root = random_odd_modulus_bits(rng, bits / 2 - 1);
+    const Bignum n = root.mul(root);
+    const Montgomery ifma(n, *ifma_);
+    const Montgomery portable(n, portable_mont_kernel());
+    std::vector<Bignum> bases;
+    for (std::uint64_t k = 1; k <= 8; ++k) bases.push_back(root.mul(Bignum(k)));
+    for (const Bignum& e : {Bignum(1), Bignum(2), Bignum(65537),
+                            Bignum::random_bits(rng, bits)}) {
+      const std::vector<Bignum> got = ifma.modexp_batch(bases, e);
+      EXPECT_EQ(got, portable.modexp_batch(bases, e))
+          << bits << "-bit square modulus, " << e.bit_length()
+          << "-bit exponent";
+      if (e.bit_length() >= 2) {
+        for (const Bignum& r : got) EXPECT_TRUE(r.is_zero());
+      }
+    }
+  }
+}
+
+TEST(MontLadderDispatch, WidthsCoverTheProtocolModuli) {
+  // 52L - 2 bits per width: 258, 518, 1038, 2078.
+  EXPECT_EQ(mont_ladder_limbs(64), 5u);
+  EXPECT_EQ(mont_ladder_limbs(256), 5u);
+  EXPECT_EQ(mont_ladder_limbs(258), 5u);
+  EXPECT_EQ(mont_ladder_limbs(259), 10u);
+  EXPECT_EQ(mont_ladder_limbs(512), 10u);
+  EXPECT_EQ(mont_ladder_limbs(518), 10u);
+  EXPECT_EQ(mont_ladder_limbs(1024), 20u);
+  EXPECT_EQ(mont_ladder_limbs(1039), 40u);
+  EXPECT_EQ(mont_ladder_limbs(2048), 40u);
+  EXPECT_EQ(mont_ladder_limbs(2078), 40u);
+  EXPECT_EQ(mont_ladder_limbs(2079), 0u);
+}
+
+TEST(MontKernelSelection, ActiveKernelRespectsEnvOverride) {
+  // The crypto suite runs under auto dispatch and with EYW_MONT_KERNEL
+  // forced to adx and to portable.
+  const std::string_view name = active_mont_kernel().name;
+  const char* env = ::getenv("EYW_MONT_KERNEL");
+  const std::string_view want = env != nullptr ? env : "";
+  if (want == "portable") {
+    EXPECT_EQ(name, "portable");
+  } else if (want == "adx") {
+    EXPECT_EQ(name, adx_mont_kernel() != nullptr ? "adx" : "portable");
+  } else {
+    EXPECT_EQ(name, ifma_mont_kernel() != nullptr  ? "ifma"
+                    : adx_mont_kernel() != nullptr ? "adx"
+                                                   : "portable");
+  }
+  if (name == "ifma") {
+    EXPECT_TRUE(cpu_supports_ifma());
+    EXPECT_TRUE(util::os_saves_xstate(util::kXcr0Avx512));
+  }
+}
+
+// These run on whatever kernel is active: the vector ladder under auto
+// dispatch on IFMA hardware, the scalar lockstep ladder otherwise.
 
 TEST(ModexpBatch, MatchesSequentialModexp) {
+  // Exponents of 32 to 608 bits (every window width and past the
+  // modulus), at every batch size from one lane to two full groups and
+  // a partial one.
   util::Rng rng(0x6d6b37);
   const Bignum n = random_odd_modulus(rng, 8);  // 512-bit
   const Montgomery mont(n);
-  std::vector<Bignum> bases, exps;
-  for (int i = 0; i < 7; ++i) {
-    bases.push_back(Bignum::random_below(rng, n));
-    // Mixed widths: exercises lanes finishing at different times.
-    exps.push_back(Bignum::random_bits(rng, 32 + 96 * i));
+  for (std::size_t bits = 32; bits <= 608; bits += 96) {
+    const Bignum e = Bignum::random_bits(rng, bits);
+    for (std::size_t k = 1; k <= 17; ++k) {
+      std::vector<Bignum> bases;
+      for (std::size_t i = 0; i < k; ++i)
+        bases.push_back(Bignum::random_below(rng, n));
+      const auto batch = mont.modexp_batch(bases, e);
+      ASSERT_EQ(batch.size(), bases.size());
+      for (std::size_t i = 0; i < k; ++i)
+        EXPECT_EQ(batch[i], mont.modexp(bases[i], e))
+            << bits << "-bit exponent, batch of " << k << ", lane " << i;
+    }
   }
-  const auto batch = mont.modexp_batch(bases, exps);
-  ASSERT_EQ(batch.size(), bases.size());
-  for (std::size_t i = 0; i < bases.size(); ++i)
-    EXPECT_EQ(batch[i], mont.modexp(bases[i], exps[i])) << "lane " << i;
+  EXPECT_TRUE(mont.modexp_batch({}, Bignum(3)).empty());
 }
 
 TEST(ModexpBatch, SharedExponentBroadcast) {
   util::Rng rng(0x6d6b38);
   const Bignum n = random_odd_modulus(rng, 8);
   const Montgomery mont(n);
-  const Bignum e(65537);
+  const Bignum e(65537);  // 17 bits: the public exponent
   std::vector<Bignum> bases;
   for (int i = 0; i < 5; ++i) bases.push_back(Bignum::random_below(rng, n));
-  const auto batch =
-      mont.modexp_batch(bases, std::span<const Bignum>(&e, 1));
+  const auto batch = mont.modexp_batch(bases, e);
   for (std::size_t i = 0; i < bases.size(); ++i)
     EXPECT_EQ(batch[i], mont.modexp(bases[i], e));
 }
 
-TEST(ModexpBatch, ZeroAndOneExponentLanes) {
+TEST(ModexpBatch, ZeroAndOneExponents) {
+  // x^0 = 1 and x^1 = x on every lane, base 0 included, next to a
+  // full-width exponent on the same bases.
   util::Rng rng(0x6d6b39);
   const Bignum n = random_odd_modulus(rng, 4);
   const Montgomery mont(n);
-  const std::vector<Bignum> bases = {Bignum::random_below(rng, n),
-                                     Bignum::random_below(rng, n),
-                                     Bignum::random_below(rng, n)};
-  const std::vector<Bignum> exps = {Bignum(0), Bignum(1),
-                                    Bignum::random_bits(rng, 256)};
-  const auto batch = mont.modexp_batch(bases, exps);
-  EXPECT_EQ(batch[0], Bignum(1));
-  EXPECT_EQ(batch[1], bases[1]);
-  EXPECT_EQ(batch[2], mont.modexp(bases[2], exps[2]));
+  std::vector<Bignum> bases = {Bignum(0), Bignum(1)};
+  for (int i = 0; i < 9; ++i) bases.push_back(Bignum::random_below(rng, n));
+  for (const Bignum& r : mont.modexp_batch(bases, Bignum(0)))
+    EXPECT_EQ(r, Bignum(1));
+  EXPECT_EQ(mont.modexp_batch(bases, Bignum(1)), bases);
+  const Bignum e = Bignum::random_bits(rng, 256);
+  const auto batch = mont.modexp_batch(bases, e);
+  for (std::size_t i = 0; i < bases.size(); ++i)
+    EXPECT_EQ(batch[i], mont.modexp(bases[i], e)) << "lane " << i;
 }
 
 TEST(MontFixedBaseTest, MatchesPlainModexp) {

@@ -161,14 +161,16 @@ std::vector<std::uint32_t> oracle_pad(const std::array<std::uint8_t, 32>& seed,
 
 TEST(Sha256PadFold, EveryBackendMatchesTheIncrementalApiOracle) {
   // Counts around one block (8 cells) and one AVX-512 pass (128 cells),
+  // both sides of the avx512 kernel's single-message cuts (2 blocks over
+  // portable, 9 over SHA-NI; the OPRF's 144-byte expansion is 36 cells),
   // the 4x256 sketch, a count that is neither, and the paper's 17x2719.
   // The accumulator starts random, sits 0-3 words into its buffer,
   // and has guard words after it that no backend may touch.
   util::Rng rng(46);
   constexpr std::size_t kGuard = 19;
   for (const std::size_t cells :
-       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 127u, 128u, 129u, 1024u, 5000u,
-        46223u}) {
+       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 36u, 63u, 64u, 65u, 72u, 73u,
+        127u, 128u, 129u, 1024u, 5000u, 46223u}) {
     std::array<std::uint8_t, 32> seed;
     for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
     const std::vector<std::uint32_t> pad = oracle_pad(seed, cells);
