@@ -130,7 +130,7 @@ void BM_ModexpKernelAdx(benchmark::State& state) {
 BENCHMARK(BM_ModexpKernelAdx)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
 // One exponent shared across a batch, per backend: portable and adx run
-// the lanes' ladders in lockstep, ifma runs kMontLanes lanes per vector
+// one scalar ladder per base, ifma runs kMontLanes lanes per vector
 // pass (a partial group padded from kMontLadderMinLanes live lanes,
 // scalar below). Reported per element; the lane counts below one group
 // are what the partial-group choice is measured on.

@@ -22,18 +22,20 @@ BlindingParticipant::BlindingParticipant(
   pair_keys_.resize(all_public_keys.size());
   // Every pair secret raises a peer's public key to this member's private
   // key: one shared exponent, so the roster goes through modexp_batch in
-  // chunks of one ladder group, and the chunks fan out across cores. The
-  // own slot's lane is computed and dropped (a 256-member roster is 32
-  // groups either way). Each chunk writes only its own slots, and the
-  // batch returns what dh_shared_secret would, so the keys are identical
-  // to the serial loop's.
+  // chunks of one batch pass, and the chunks fan out across cores. On a
+  // vector ladder a chunk is kMontLanes peers and the own slot's lane is
+  // computed and dropped (a 256-member roster is 32 passes either way);
+  // elsewhere it is one peer, one modexp. Each chunk writes only its own
+  // slots, and the batch returns what dh_shared_secret would, so the keys
+  // are identical to the serial loop's.
   const Montgomery mont_p(group.p);
-  const std::size_t chunks =
-      (all_public_keys.size() + kMontLanes - 1) / kMontLanes;
+  const std::size_t lanes = mont_p.batch_lanes();
+  const std::size_t chunks = (all_public_keys.size() + lanes - 1) / lanes;
   pool_->parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t off = c * kMontLanes;
+    const std::size_t off = c * lanes;
     const std::span<const Bignum> chunk = all_public_keys.subspan(
-        off, std::min(kMontLanes, all_public_keys.size() - off));
+        off, std::min(lanes, all_public_keys.size() - off));
+    if (chunk.size() == 1 && off == index_) return;  // only the own slot
     const std::vector<Bignum> secrets =
         mont_p.modexp_batch(chunk, keypair.private_key);
     for (std::size_t k = 0; k < chunk.size(); ++k) {

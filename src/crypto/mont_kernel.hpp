@@ -18,7 +18,7 @@
 // Selection happens once per process in active_mont_kernel(): ifma, then
 // adx, then portable. The environment variable EYW_MONT_KERNEL
 // ("portable" | "adx" | "auto") overrides it: "adx" pins the scalar ADX
-// kernel, so batches run the scalar lockstep ladder, and "portable" pins
+// kernel, so a batch runs one scalar ladder per base, and "portable" pins
 // the u128 loop. That is how CI keeps the scalar paths tested on hardware
 // that would otherwise always take the vector ladder. A Montgomery
 // context captures the kernel pointer at construction, so dispatch costs
@@ -48,8 +48,8 @@ namespace eyw::crypto {
 inline constexpr std::size_t kMontLanes = 8;
 
 /// A modulus as the vector ladder sees it: radix-2^52 limbs, and the
-/// constants of Montgomery reduction with R = 2^(52 * limbs). Built from a
-/// Montgomery context's own constants per batch (crypto/montgomery.cpp).
+/// constants of Montgomery reduction with R = 2^(52 * limbs). Built per
+/// batch by the Montgomery context (crypto/montgomery.cpp).
 struct MontLadderModulus {
   std::size_t limbs = 0;          ///< ladder width; 0 = no ladder
   std::vector<std::uint64_t> n;   ///< N
@@ -90,8 +90,8 @@ struct MontKernel {
 /// subtraction).
 inline constexpr std::size_t kMontLadderLimbs[] = {5, 10, 20, 40};
 
-/// The fewest live lanes for which a padded vector pass beats the scalar
-/// lockstep ladder, at every width (bench_crypto_primitives'
+/// The fewest live lanes for which a padded vector pass beats one scalar
+/// ladder per lane, at every width (bench_crypto_primitives'
 /// ModexpBatch rows; docs/perf.md): one lane runs scalar.
 inline constexpr std::size_t kMontLadderMinLanes = 2;
 

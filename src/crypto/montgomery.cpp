@@ -9,7 +9,6 @@ namespace eyw::crypto {
 
 namespace {
 using u64 = std::uint64_t;
-using u128 = unsigned __int128;
 
 constexpr u64 kMask52 = (u64{1} << 52) - 1;
 
@@ -48,53 +47,6 @@ WindowDigits window_digits(const Bignum& exp) {
   return out;
 }
 
-bool geq(const u64* a, const u64* b, std::size_t len) noexcept {
-  for (std::size_t i = len; i-- > 0;) {
-    if (a[i] != b[i]) return a[i] > b[i];
-  }
-  return true;
-}
-
-void sub_in_place(u64* a, const u64* b, std::size_t len) noexcept {
-  u64 borrow = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const u128 diff = static_cast<u128>(a[i]) - b[i] - borrow;
-    a[i] = static_cast<u64>(diff);
-    borrow = static_cast<u64>((diff >> 64) & 1);
-  }
-}
-
-/// x <- x * 2^shift mod N for x < N: single-bit doublings, or halvings
-/// when `shift` is negative (N is odd, so x/2 = (x + N)/2 for odd x).
-void shift_mod(std::vector<u64>& x, const std::vector<u64>& n,
-               std::ptrdiff_t shift) noexcept {
-  const std::size_t L = n.size();
-  for (; shift > 0; --shift) {
-    u64 top = 0;
-    for (std::size_t i = 0; i < L; ++i) {
-      const u64 v = x[i];
-      x[i] = (v << 1) | top;
-      top = v >> 63;
-    }
-    if (top != 0 || geq(x.data(), n.data(), L))
-      sub_in_place(x.data(), n.data(), L);
-  }
-  for (; shift < 0; ++shift) {
-    u64 top = 0;
-    if ((x[0] & 1) != 0) {
-      for (std::size_t i = 0; i < L; ++i) {
-        const u128 sum = static_cast<u128>(x[i]) + n[i] + top;
-        x[i] = static_cast<u64>(sum);
-        top = static_cast<u64>(sum >> 64);
-      }
-    }
-    for (std::size_t i = 0; i < L; ++i) {
-      const u64 hi = i + 1 < L ? x[i + 1] : top;
-      x[i] = (x[i] >> 1) | (hi << 63);
-    }
-  }
-}
-
 /// Radix 2^64 -> radix 2^52: `out` gets the low 52 * out_limbs bits of x.
 void to_radix52(std::span<const u64> x, u64* out, std::size_t out_limbs) {
   for (std::size_t k = 0; k < out_limbs; ++k) {
@@ -106,26 +58,20 @@ void to_radix52(std::span<const u64> x, u64* out, std::size_t out_limbs) {
   }
 }
 
-/// N as a `limbs`-wide vector ladder sees it, from N's limbs, R^2 mod N
-/// and -N^-1 mod 2^64 of the radix-2^64 context. The ladder's own
-/// R' = 2^(52 limbs) has R'^2 mod N = R^2 2^shift mod N, a few doublings
-/// or halvings away (8 at 256 bits, 64 at 2048), so no divmod runs. Built
-/// per batch: contexts that never batch (one per prime candidate in a
-/// prime search) never pay for it.
-MontLadderModulus ladder_modulus(const std::vector<u64>& n,
-                                 const std::vector<u64>& rr, u64 n0inv,
+/// N as a `limbs`-wide vector ladder sees it, with R' = 2^(52 limbs):
+/// -N^-1 mod 2^52 is the low bits of the radix-2^64 context's n0inv, and
+/// R'^2 mod N takes one divmod. Built per batch, so contexts that never
+/// batch (one per prime candidate in a prime search) never pay for it.
+MontLadderModulus ladder_modulus(const Bignum& modulus, u64 n0inv,
                                  std::size_t limbs) {
   MontLadderModulus m;
   m.limbs = limbs;
   m.k0 = n0inv & kMask52;
   m.n.resize(limbs);
-  to_radix52(n, m.n.data(), limbs);
-  std::vector<u64> rr52 = rr;
-  shift_mod(rr52, n,
-            static_cast<std::ptrdiff_t>(104 * limbs) -
-                static_cast<std::ptrdiff_t>(128 * n.size()));
+  to_radix52(modulus.limbs(), m.n.data(), limbs);
+  const Bignum rr = Bignum(1).shl(104 * limbs).mod(modulus);
   m.rr.resize(limbs);
-  to_radix52(rr52, m.rr.data(), limbs);
+  to_radix52(rr.limbs(), m.rr.data(), limbs);
   return m;
 }
 
@@ -267,47 +213,37 @@ std::vector<u64> Montgomery::modexp_mont(const Bignum& base,
                                          const Bignum& exp) const {
   if (exp.is_zero()) return one_;  // x^0 = 1 mod N
   const WindowDigits wd = window_digits(exp);
-  std::vector<u64> out(n_.size());
-  lockstep_mont(std::span<const Bignum>(&base, 1), wd.digits, wd.window,
-                out.data());
-  return out;
+  return ladder_mont(base, wd.digits, wd.window);
 }
 
-void Montgomery::lockstep_mont(std::span<const Bignum> bases,
-                               std::span<const std::uint8_t> digits,
-                               std::size_t window, u64* out) const {
-  const std::size_t K = bases.size();
+std::vector<u64> Montgomery::ladder_mont(const Bignum& base,
+                                         std::span<const std::uint8_t> digits,
+                                         std::size_t window) const {
   const std::size_t L = n_.size();
-  const std::size_t entries = std::size_t{1} << window;
   std::vector<u64> scratch(mont_kernel_scratch_limbs(L));
-  // Base i's table entry for digit d (base^d, in the domain) sits at
-  // [(i * entries + d) * L]; entry 0 is never read.
-  std::vector<u64> table(K * entries * L);
-  const auto entry = [&](std::size_t i, std::size_t d) {
-    return table.data() + (i * entries + d) * L;
-  };
-  for (std::size_t i = 0; i < K; ++i) {
-    const std::vector<u64> reduced = reduced_limbs(bases[i]);
-    cios(reduced.data(), rr_.data(), entry(i, 1), scratch.data());
-  }
-  for (std::size_t d = 2; d < entries; ++d) {
-    for (std::size_t i = 0; i < K; ++i)
-      cios(entry(i, d - 1), entry(i, 1), entry(i, d), scratch.data());
-  }
-  // Every ladder takes the same step at once: consecutive kernel calls
-  // work on independent data, so the core overlaps one ladder's carry
-  // chain with the next one's.
-  for (std::size_t i = 0; i < K; ++i)
-    std::copy(entry(i, digits[0]), entry(i, digits[0]) + L, out + i * L);
+  // base^d in the domain for digit d at [d * L]; entry 0 is never read.
+  std::vector<u64> table((std::size_t{1} << window) * L);
+  const auto entry = [&](std::size_t d) { return table.data() + d * L; };
+  const std::vector<u64> reduced = reduced_limbs(base);
+  cios(reduced.data(), rr_.data(), entry(1), scratch.data());
+  for (std::size_t d = 2; d < (std::size_t{1} << window); ++d)
+    cios(entry(d - 1), entry(1), entry(d), scratch.data());
+
+  std::vector<u64> acc(entry(digits[0]), entry(digits[0]) + L);
   for (std::size_t w = 1; w < digits.size(); ++w) {
-    for (std::size_t s = 0; s < window; ++s) {
-      for (std::size_t i = 0; i < K; ++i)
-        cios_sqr(out + i * L, out + i * L, scratch.data());
-    }
-    if (digits[w] == 0) continue;
-    for (std::size_t i = 0; i < K; ++i)
-      cios(out + i * L, entry(i, digits[w]), out + i * L, scratch.data());
+    for (std::size_t s = 0; s < window; ++s)
+      cios_sqr(acc.data(), acc.data(), scratch.data());
+    if (digits[w] != 0)
+      cios(acc.data(), entry(digits[w]), acc.data(), scratch.data());
   }
+  return acc;
+}
+
+std::size_t Montgomery::batch_lanes() const noexcept {
+  return kernel_->ladder != nullptr &&
+                 mont_ladder_limbs(modulus_.bit_length()) != 0
+             ? kMontLanes
+             : 1;
 }
 
 std::vector<Bignum> Montgomery::modexp_batch(std::span<const Bignum> bases,
@@ -321,12 +257,12 @@ std::vector<Bignum> Montgomery::modexp_batch(std::span<const Bignum> bases,
                                  : 0;
   const MontLadderModulus ladder =
       width != 0 && K >= kMontLadderMinLanes
-          ? ladder_modulus(n_, rr_, n0inv_, width)
+          ? ladder_modulus(modulus_, n0inv_, width)
           : MontLadderModulus{};
   const std::size_t L52 = ladder.limbs;
   std::vector<Bignum> out;
   out.reserve(K);
-  std::vector<u64> lanes(kMontLanes * std::max(L, L52));
+  std::vector<u64> lanes(kMontLanes * L52);
   std::vector<u64> results(kMontLanes * L52);
   for (std::size_t off = 0; off < K; off += kMontLanes) {
     const std::span<const Bignum> group =
@@ -343,10 +279,10 @@ std::vector<Bignum> Montgomery::modexp_batch(std::span<const Bignum> bases,
             Bignum::from_limbs(from_radix52(results.data() + i * L52, L52, L)));
       continue;
     }
-    lockstep_mont(group, wd.digits, wd.window, lanes.data());
-    for (std::size_t i = 0; i < group.size(); ++i)
-      out.push_back(from_mont(
-          std::vector<u64>(lanes.data() + i * L, lanes.data() + (i + 1) * L)));
+    // No ladder at this width, or too few live lanes to fill a pass: one
+    // scalar ladder per base, over the digits cut once for the batch.
+    for (const Bignum& base : group)
+      out.push_back(from_mont(ladder_mont(base, wd.digits, wd.window)));
   }
   return out;
 }

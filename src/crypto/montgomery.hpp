@@ -21,8 +21,8 @@
 // peers, dp/dq across an OPRF batch, e on the client. modexp_batch runs
 // groups of up to kMontLanes bases on the vector ladder where the kernel
 // has one and the modulus fits a ladder width, and a lone base, or every
-// base on the other kernels, on the scalar kernel in lockstep over the
-// shared window digits. Every path returns canonical residues, so
+// base on the other kernels, through one scalar ladder per base over the
+// window digits it cuts once. Every path returns canonical residues, so
 // results are bit-identical across kernels.
 //
 // Contexts are immutable after construction and safe to share across
@@ -75,10 +75,15 @@ class Montgomery {
   /// kMontLanes run on the kernel's vector ladder when it has one at this
   /// modulus' width; a partial group runs padded from kMontLadderMinLanes
   /// live lanes and on the scalar kernel below; without a ladder every
-  /// base runs on the scalar kernel, all ladders in lockstep over the
-  /// shared window digits. Results are identical to per-element modexp().
+  /// base runs its own scalar ladder, as modexp() would. Results are
+  /// identical to per-element modexp().
   [[nodiscard]] std::vector<Bignum> modexp_batch(
       std::span<const Bignum> bases, const Bignum& exp) const;
+  /// Bases one modexp_batch pass raises: kMontLanes where the kernel's
+  /// vector ladder covers this modulus' width, 1 otherwise. Callers that
+  /// fan a batch out across threads chunk it by this, so that a scalar
+  /// kernel still gets one task per base.
+  [[nodiscard]] std::size_t batch_lanes() const noexcept;
 
   // Raw Montgomery-domain interface, for callers that chain many
   // operations on residues (e.g. the Miller-Rabin squaring ladder) and
@@ -113,13 +118,11 @@ class Montgomery {
   /// Kernel trampoline for the dedicated squaring: out <- a*a*R^-1 mod N.
   void cios_sqr(const std::uint64_t* a, std::uint64_t* out,
                 std::uint64_t* scratch) const;
-  /// The scalar ladder, in lockstep over `bases`: out holds bases.size()
-  /// domain values of limb_count() limbs each, base i's at [i * L].
-  /// `digits` are the exponent's `window`-bit digits, most significant
-  /// first (nonzero).
-  void lockstep_mont(std::span<const Bignum> bases,
-                     std::span<const std::uint8_t> digits, std::size_t window,
-                     std::uint64_t* out) const;
+  /// The scalar ladder: base^exp in the domain, where `digits` are the
+  /// exponent's `window`-bit digits, most significant first (nonzero).
+  [[nodiscard]] std::vector<std::uint64_t> ladder_mont(
+      const Bignum& base, std::span<const std::uint8_t> digits,
+      std::size_t window) const;
   /// `a` reduced mod N, as L little-endian limbs.
   [[nodiscard]] std::vector<std::uint64_t> reduced_limbs(
       const Bignum& a) const;

@@ -110,32 +110,19 @@ constexpr Sha256Kernel kPortable{portable_compress, portable_pad_fold,
 // One AVX-512 pass costs as much as 16 blocks whether or not the stream
 // fills them: ~305 ns on a 4-vCPU Xeon VM with AVX-512 and SHA-NI,
 // against ~37 ns a block on SHA-NI and ~270 ns a block on the portable
-// compression. A stream shorter than the cut runs one message at a time
-// instead (the OPRF's 144-byte hash_to_zn expansion: 5 blocks, 187 ns on
-// SHA-NI against 313 ns in one pass; docs/perf.md).
+// compression. Over SHA-NI a stream shorter than the cut runs one message
+// at a time instead (the OPRF's 144-byte hash_to_zn expansion: 5 blocks,
+// 187 ns on SHA-NI against 313 ns in one pass; docs/perf.md). Over the
+// portable compression one pass wins from 2 blocks, and no caller folds
+// fewer, so there every stream takes the pass.
 constexpr std::size_t kAvx512FromBlocksOverShaNi = 9;
-constexpr std::size_t kAvx512FromBlocksOverPortable = 2;
 
-constexpr std::size_t blocks_of(std::size_t cells) noexcept {
-  return (cells + 7) / 8;
-}
-
-void avx512_pad_fold_over_portable(std::uint32_t* acc,
-                                   const std::uint8_t* seed,
-                                   std::size_t cells, bool positive) {
-  if (blocks_of(cells) < kAvx512FromBlocksOverPortable)
-    return portable_pad_fold(acc, seed, cells, positive);
-  detail::avx512_pad_fold(acc, seed, cells, positive);
-}
-
-#if defined(EYW_HAVE_SHANI_KERNEL)
 void avx512_pad_fold_over_shani(std::uint32_t* acc, const std::uint8_t* seed,
                                 std::size_t cells, bool positive) {
-  if (blocks_of(cells) < kAvx512FromBlocksOverShaNi)
-    return detail::shani_kernel_impl().pad_fold(acc, seed, cells, positive);
+  if ((cells + 7) / 8 < kAvx512FromBlocksOverShaNi)
+    return shani_sha256_kernel()->pad_fold(acc, seed, cells, positive);
   detail::avx512_pad_fold(acc, seed, cells, positive);
 }
-#endif
 #endif
 
 const Sha256Kernel* resolve_active() noexcept {
@@ -167,8 +154,7 @@ bool cpu_supports_sha_ni() noexcept {
 }
 
 bool cpu_supports_avx512f() noexcept {
-  constexpr std::uint32_t kAvx512f = 1u << 16;  // CPUID.7.0:EBX bit 16
-  return (util::cpuid7_ebx() & kAvx512f) != 0 &&
+  return (util::cpuid7_ebx() & util::kCpuid7Avx512f) != 0 &&
          util::os_saves_xstate(util::kXcr0Avx512);
 }
 
@@ -183,19 +169,14 @@ const Sha256Kernel* shani_sha256_kernel() noexcept {
 
 const Sha256Kernel* avx512_sha256_kernel() noexcept {
 #if defined(EYW_HAVE_AVX512_SHA256)
-  // Only the pad fold is 16 lanes wide, and only from the cut above; one
-  // message at a time still runs SHA-NI where the CPU has it.
-#if defined(EYW_HAVE_SHANI_KERNEL)
+  // Only the pad fold is 16 lanes wide, and over SHA-NI only from the cut
+  // above; one message at a time still runs SHA-NI where the CPU has it.
   static const Sha256Kernel kernel =
       shani_sha256_kernel() != nullptr
           ? Sha256Kernel{shani_sha256_kernel()->compress,
                          avx512_pad_fold_over_shani, "avx512"}
-          : Sha256Kernel{portable_compress, avx512_pad_fold_over_portable,
+          : Sha256Kernel{portable_compress, detail::avx512_pad_fold,
                          "avx512"};
-#else
-  static const Sha256Kernel kernel{
-      portable_compress, avx512_pad_fold_over_portable, "avx512"};
-#endif
   static const bool usable = cpu_supports_avx512f();
   return usable ? &kernel : nullptr;
 #else

@@ -21,9 +21,9 @@
 //   * avx512 — AVX-512F (sha256_avx512.cpp, -mavx512f): `pad_fold` hashes
 //     16 counter blocks per pass, one per lane. Its `compress` is SHA-NI's
 //     when the CPU has it and the portable one otherwise (Skylake-SP and
-//     Cascade Lake have AVX-512F but no SHA-NI), and so is its `pad_fold`
-//     for streams too short to fill a pass: below 9 blocks over SHA-NI,
-//     below 2 over the portable compression (sha256_kernel.cpp).
+//     Cascade Lake have AVX-512F but no SHA-NI). Over SHA-NI, streams
+//     below 9 blocks fold on SHA-NI too, one message at a time
+//     (sha256_kernel.cpp).
 //
 // `EYW_SHA256_KERNEL=portable|shani` forces a backend (read once); SHA-NI
 // on a CPU without it degrades to portable. Any other value, or none,

@@ -199,7 +199,7 @@ TEST_F(MontKernelDifferential, FullPipelineAgreement) {
 
 // ------------------------------------------------------------------------
 // Shared-exponent batches. The ifma kernel's vector ladder must agree with
-// the scalar lockstep ladder on adx and portable, and all three with
+// the scalar ladder on adx and portable, and all three with
 // modexp_basic, at every ladder width: moduli at the protocol sizes, just
 // under each width's limit of 52L - 2 bits and just over it (the next
 // width), with the bases the reduction can trip on.
@@ -227,7 +227,7 @@ class MontLadderDifferential : public ::testing::Test {
     ifma_ = ifma_mont_kernel();
     if (ifma_ == nullptr)
       GTEST_SKIP() << "IFMA kernel unavailable (CPU, OS or toolchain); "
-                      "batches run the scalar lockstep ladder only";
+                      "batches run the scalar ladder only";
     adx_ = adx_mont_kernel();
     ASSERT_NE(adx_, nullptr) << "ifma implies adx";
   }
@@ -327,6 +327,21 @@ TEST(MontLadderDispatch, WidthsCoverTheProtocolModuli) {
   EXPECT_EQ(mont_ladder_limbs(2079), 0u);
 }
 
+TEST(MontLadderDispatch, BatchLanesFollowTheLadder) {
+  // A batch pass is one ladder group where the kernel's ladder covers the
+  // width, and one base on the scalar kernels or past the widest width.
+  util::Rng rng(0x6d6b41);
+  const Bignum n256 = random_odd_modulus(rng, 4);
+  const Bignum n2079 = Bignum(1).shl(2078).add(Bignum(1));
+  EXPECT_EQ(Montgomery(n256, portable_mont_kernel()).batch_lanes(), 1u);
+  if (const MontKernel* adx = adx_mont_kernel(); adx != nullptr)
+    EXPECT_EQ(Montgomery(n256, *adx).batch_lanes(), 1u);
+  if (const MontKernel* ifma = ifma_mont_kernel(); ifma != nullptr) {
+    EXPECT_EQ(Montgomery(n256, *ifma).batch_lanes(), kMontLanes);
+    EXPECT_EQ(Montgomery(n2079, *ifma).batch_lanes(), 1u);
+  }
+}
+
 TEST(MontKernelSelection, ActiveKernelRespectsEnvOverride) {
   // The crypto suite runs under auto dispatch and with EYW_MONT_KERNEL
   // forced to adx and to portable.
@@ -349,7 +364,7 @@ TEST(MontKernelSelection, ActiveKernelRespectsEnvOverride) {
 }
 
 // These run on whatever kernel is active: the vector ladder under auto
-// dispatch on IFMA hardware, the scalar lockstep ladder otherwise.
+// dispatch on IFMA hardware, the scalar ladder otherwise.
 
 TEST(ModexpBatch, MatchesSequentialModexp) {
   // Exponents of 32 to 608 bits (every window width and past the

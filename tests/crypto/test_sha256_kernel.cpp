@@ -161,8 +161,8 @@ std::vector<std::uint32_t> oracle_pad(const std::array<std::uint8_t, 32>& seed,
 
 TEST(Sha256PadFold, EveryBackendMatchesTheIncrementalApiOracle) {
   // Counts around one block (8 cells) and one AVX-512 pass (128 cells),
-  // both sides of the avx512 kernel's single-message cuts (2 blocks over
-  // portable, 9 over SHA-NI; the OPRF's 144-byte expansion is 36 cells),
+  // both sides of the avx512 kernel's single-message cut over SHA-NI (9
+  // blocks, 64 | 65 cells; the OPRF's 144-byte expansion is 36 cells),
   // the 4x256 sketch, a count that is neither, and the paper's 17x2719.
   // The accumulator starts random, sits 0-3 words into its buffer,
   // and has guard words after it that no backend may touch.
